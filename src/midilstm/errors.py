@@ -96,6 +96,10 @@ class BadCheckpoint(DataError):
     pass
 
 
+class TrainingDiverged(DataError):
+    """The batch loss or gradient norm went non-finite during training."""
+
+
 class CorpusTooShort(DataError):
     pass
 

@@ -1,5 +1,5 @@
-"""Stacked LSTM over concatenated one-hot (note, duration) inputs with two
-softmax heads, plus the full backward pass through time.
+"""Stacked LSTM over (note, duration) token inputs with two softmax heads,
+plus the full backward pass through time.
 
 Cell equations, with z = [h_prev, x] and elementwise products:
 
@@ -9,6 +9,22 @@ Cell equations, with z = [h_prev, x] and elementwise products:
     c = f * c_prev + i * g
     o = sigmoid(W_o z + b_o)          output gate
     h = o * tanh(c)
+
+Each layer stores its gates fused: one weight ``w`` of shape (H+in, 4H),
+rows [h; x] (so ``w[:H]`` is recurrent and ``w[H:]`` the input weight),
+columns in gate blocks of ``COLUMNS`` order, sigmoid gates first and the
+candidate last; and one bias ``b`` of shape (1, 4H). A step is then one
+``h @ w[:H]`` plus one ``cell_forward``. The checkpoint names
+``layerK.<gate>.w`` (H, H+in) and ``layerK.<gate>.b`` (1, H), in ``GATES``
+order, are transposed views of these arrays, so checkpoints, the optimizer
+and the gradient check read and write the fused arrays through them and
+the file format does not depend on the layout.
+
+The input at each step is the concatenated one-hot of the two ids, so
+layer 0's input term is the sum of two rows of ``w[H:]``, gathered for all
+L steps at once. Upper layers' input terms are one product over all L*B
+rows, and the backward pass forms each layer's weight gradients from all
+timesteps at once: only the h -> h recurrence runs step by step.
 
 Inverted dropout is applied to each layer's h on the way up to the next
 layer (train mode only); the recurrent h -> h_next connection and the head
@@ -26,18 +42,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IndexOutOfRange, ShapeMismatch, StaleCache
-from .numerics import (
-    Rng,
-    check_finite,
-    matmul,
-    sigmoid,
-    softmax,
-    tanh_act,
-    xavier_init,
-    zeros,
-)
+from .numerics import Rng, check_finite, matmul, sigmoid, softmax, xavier_init, zeros
 
-GATES = ("forget", "input", "cand", "output")
+GATES = ("forget", "input", "cand", "output")  # checkpoint and init order
+COLUMNS = ("forget", "input", "output", "cand")  # gate blocks along w's columns
 FORGET_BIAS_INIT = 1.0
 
 
@@ -66,32 +74,23 @@ class ModelConfig:
 
 @dataclass
 class LstmLayerParams:
-    """One layer's gate weights: w_* is (hidden, hidden+in), b_* is (1, hidden)."""
+    """One layer's fused gates: ``w`` is (hidden+in, 4*hidden), ``b`` is
+    (1, 4*hidden); see the module docstring for the layout."""
 
-    w_forget: np.ndarray
-    b_forget: np.ndarray
-    w_input: np.ndarray
-    b_input: np.ndarray
-    w_cand: np.ndarray
-    b_cand: np.ndarray
-    w_output: np.ndarray
-    b_output: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.w_forget.shape[0]
+        return self.b.shape[1] // 4
 
-    @classmethod
-    def init(cls, input_size: int, hidden_size: int, rng: Rng) -> "LstmLayerParams":
-        width = hidden_size + input_size
-        fields = {}
+    def gates(self):
+        """(gate, weight view (hidden, hidden+in), bias view (1, hidden))
+        for each gate in ``GATES`` order."""
+        H = self.hidden_size
         for gate in GATES:
-            fields[f"w_{gate}"] = xavier_init(hidden_size, width, rng)
-            bias = zeros(1, hidden_size)
-            if gate == "forget":
-                bias += FORGET_BIAS_INIT
-            fields[f"b_{gate}"] = bias
-        return cls(**fields)
+            k = COLUMNS.index(gate) * H
+            yield gate, self.w[:, k:k + H].T, self.b[:, k:k + H]
 
 
 @dataclass
@@ -103,76 +102,75 @@ class ModelParams:
     b_dur: np.ndarray
 
     @classmethod
-    def init(cls, config: ModelConfig, rng: Rng) -> "ModelParams":
+    def zeros(cls, config: ModelConfig) -> "ModelParams":
+        """All-zero parameters of the configured shapes."""
         config.validate()
-        layers = []
-        in_size = config.input_width
-        for hidden in config.hidden_sizes:
-            layers.append(LstmLayerParams.init(in_size, hidden, rng))
-            in_size = hidden
-        top = config.hidden_sizes[-1]
-        return cls(
-            layers=layers,
-            w_note=xavier_init(top, config.note_vocab_size, rng),
-            b_note=zeros(1, config.note_vocab_size),
-            w_dur=xavier_init(top, config.dur_vocab_size, rng),
-            b_dur=zeros(1, config.dur_vocab_size),
-        )
+        ins = [config.input_width, *config.hidden_sizes[:-1]]
+        top, nv, dv = config.hidden_sizes[-1], config.note_vocab_size, config.dur_vocab_size
+        return cls(layers=[LstmLayerParams(zeros(h + i, 4 * h), zeros(1, 4 * h))
+                           for i, h in zip(ins, config.hidden_sizes)],
+                   w_note=zeros(top, nv), b_note=zeros(1, nv),
+                   w_dur=zeros(top, dv), b_dur=zeros(1, dv))
+
+    @classmethod
+    def init(cls, config: ModelConfig, rng: Rng) -> "ModelParams":
+        """Xavier weights drawn layer by layer in ``GATES`` order, then for
+        the note and duration heads; zero biases but the forget gates'."""
+        params = cls.zeros(config)
+        for layer in params.layers:
+            for gate, w, b in layer.gates():
+                w[...] = xavier_init(*w.shape, rng)
+                if gate == "forget":
+                    b += FORGET_BIAS_INIT
+        for w in (params.w_note, params.w_dur):
+            w[...] = xavier_init(*w.shape, rng)
+        return params
 
     def named_params(self) -> list[tuple[str, np.ndarray]]:
         """Canonical (name, array) ordering used by the optimizer,
-        checkpoints, and the gradient check."""
+        checkpoints, and the gradient check. Gate entries are views."""
         out = []
         for i, layer in enumerate(self.layers):
-            for gate in GATES:
-                out.append((f"layer{i}.{gate}.w", getattr(layer, f"w_{gate}")))
-                out.append((f"layer{i}.{gate}.b", getattr(layer, f"b_{gate}")))
-        out.append(("head_note.w", self.w_note))
-        out.append(("head_note.b", self.b_note))
-        out.append(("head_dur.w", self.w_dur))
-        out.append(("head_dur.b", self.b_dur))
-        return out
+            for gate, w, b in layer.gates():
+                out += [(f"layer{i}.{gate}.w", w), (f"layer{i}.{gate}.b", b)]
+        return out + [("head_note.w", self.w_note), ("head_note.b", self.b_note),
+                      ("head_dur.w", self.w_dur), ("head_dur.b", self.b_dur)]
 
     def n_params(self) -> int:
         return sum(arr.size for _, arr in self.named_params())
 
 
 @dataclass
-class StepCache:
-    z: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    g: np.ndarray
-    c_prev: np.ndarray
-    o: np.ndarray
-    tanh_c: np.ndarray
+class LayerCache:
+    acts: np.ndarray  # (L, B, 4H) activated gates, COLUMNS order
+    h: np.ndarray  # (L+1, B, H) hidden states, h[0] = 0
+    c: np.ndarray  # (L+1, B, H) cell states, c[0] = 0
+    keep: np.ndarray | None  # (L, B, H) dropout keep mask on h, None if not dropped
 
 
 @dataclass
 class ForwardCache:
     train: bool
-    steps: list[list[StepCache]]  # [t][layer]
-    masks: list[list[np.ndarray | None]]  # [t][layer], None when not dropped
+    dropout: float  # the rate applied, 0.0 in infer mode
+    note_ids: np.ndarray
+    dur_ids: np.ndarray
+    layers: list[LayerCache]  # empty in infer mode and once backward has run
     h_final: np.ndarray
     note_probs: np.ndarray
     dur_probs: np.ndarray
 
 
-def cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-                 params: LstmLayerParams) -> tuple[np.ndarray, np.ndarray, StepCache]:
-    """One LSTM cell step for a batch of rows."""
-    if x.shape[0] != h_prev.shape[0] or h_prev.shape != c_prev.shape:
-        raise ShapeMismatch(
-            f"batch shapes differ: x {x.shape}, h {h_prev.shape}, c {c_prev.shape}")
-    z = np.concatenate([h_prev, x], axis=1)
-    f = sigmoid(matmul(z, params.w_forget.T) + params.b_forget)
-    i = sigmoid(matmul(z, params.w_input.T) + params.b_input)
-    g = tanh_act(matmul(z, params.w_cand.T) + params.b_cand)
-    c = f * c_prev + i * g
-    o = sigmoid(matmul(z, params.w_output.T) + params.b_output)
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, StepCache(z=z, f=f, i=i, g=g, c_prev=c_prev, o=o, tanh_c=tc)
+def cell_forward(a: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM cell step for a batch of rows. Activates the (B, 4H)
+    pre-activations ``a`` in place and returns the new (h, c)."""
+    B, H = c_prev.shape
+    if a.shape != (B, 4 * H):
+        raise ShapeMismatch(f"pre-activations {a.shape} do not fit cell state {c_prev.shape}")
+    sigmoid(a[:, :3 * H], out=a[:, :3 * H])
+    np.tanh(a[:, 3 * H:], out=a[:, 3 * H:])
+    c = a[:, :H] * c_prev + a[:, H:2 * H] * a[:, 3 * H:]
+    h = a[:, 2 * H:3 * H] * np.tanh(c)
+    return h, c
 
 
 def _check_ids(ids: np.ndarray, size: int, what: str) -> np.ndarray:
@@ -186,15 +184,27 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> np.ndarray:
     return ids
 
 
+def _dropped(x: np.ndarray, keep: np.ndarray | None, drop: float) -> np.ndarray:
+    """Inverted dropout of ``x`` with a boolean keep mask."""
+    if keep is None:
+        return x
+    out = x * keep
+    out *= 1.0 / (1.0 - drop)
+    return out
+
+
 def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams,
                   config: ModelConfig, train: bool = False, rng: Rng | None = None,
                   ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run a batch of windows through the stack from zero initial state.
 
     ``note_ids``/``dur_ids`` are (B, L) integer arrays (a single 1-D window
-    is promoted to B=1). Inputs at each step are the concatenated one-hots
-    of the two ids. Returns softmax rows from both heads, computed on the
-    top layer's final-step h, plus the cache the backward pass needs.
+    is promoted to B=1). Returns softmax rows from both heads, computed on
+    the top layer's final-step h, plus the cache the backward pass needs.
+
+    The stack runs layer by layer, each over all L steps. Train-mode
+    dropout draws ``B * H`` uniforms per step and per dropped layer, in
+    step-major order, as one block from ``rng``.
     """
     nv, dv = config.note_vocab_size, config.dur_vocab_size
     note_ids = _check_ids(note_ids, nv, "note")
@@ -202,124 +212,127 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
     if note_ids.shape != dur_ids.shape:
         raise ShapeMismatch(f"id streams differ: {note_ids.shape} vs {dur_ids.shape}")
     B, L = note_ids.shape
-    n_layers = len(params.layers)
+    sizes = [layer.hidden_size for layer in params.layers]
     drop = config.dropout if train else 0.0
-    if drop > 0.0 and n_layers > 1 and rng is None:
-        raise ShapeMismatch("train-mode dropout needs an rng")
+    keeps: list[np.ndarray | None] = [None] * len(sizes)
+    if drop > 0.0 and len(sizes) > 1:
+        if rng is None:
+            raise ShapeMismatch("train-mode dropout needs an rng")
+        widths = [B * H for H in sizes[:-1]]
+        block = rng.uniform_array(L * sum(widths)).reshape(L, -1)
+        splits = np.split(block, np.cumsum(widths)[:-1], axis=1)
+        keeps[:-1] = [u.reshape(L, B, -1) >= drop for u in splits]
 
-    rows = np.arange(B)
-    h = [zeros(B, layer.hidden_size) for layer in params.layers]
-    c = [zeros(B, layer.hidden_size) for layer in params.layers]
-    steps: list[list[StepCache]] = []
-    masks: list[list[np.ndarray | None]] = []
+    layers: list[LayerCache] = []
+    x = None
+    for layer, H, keep in zip(params.layers, sizes, keeps):
+        w_h, w_x = layer.w[:H], layer.w[H:]
+        if x is None:  # layer 0: the one-hot product is a row gather
+            acts = w_x[note_ids.T]
+            acts += w_x[nv + dur_ids.T]
+        else:
+            acts = matmul(x.reshape(L * B, -1), w_x).reshape(L, B, 4 * H)
+        acts += layer.b
+        h = np.zeros((L + 1, B, H))
+        c = np.zeros((L + 1, B, H))
+        for t in range(L):
+            if t:
+                acts[t] += matmul(h[t], w_h)
+            h[t + 1], c[t + 1] = cell_forward(acts[t], c[t])
+        x = _dropped(h[1:], keep, drop)
+        if train:
+            layers.append(LayerCache(acts=acts, h=h, c=c, keep=keep))
 
-    for t in range(L):
-        x = np.zeros((B, nv + dv), dtype=np.float64)
-        x[rows, note_ids[:, t]] = 1.0
-        x[rows, nv + dur_ids[:, t]] = 1.0
-        step_caches = []
-        step_masks: list[np.ndarray | None] = []
-        for li, layer in enumerate(params.layers):
-            h[li], c[li], cache = cell_forward(x, h[li], c[li], layer)
-            step_caches.append(cache)
-            x = h[li]
-            if li < n_layers - 1:
-                if drop > 0.0:
-                    keep = rng.uniform_array(B * layer.hidden_size).reshape(B, -1) >= drop
-                    mask = keep.astype(np.float64) / (1.0 - drop)
-                    x = x * mask
-                    step_masks.append(mask)
-                else:
-                    step_masks.append(None)
-        steps.append(step_caches)
-        masks.append(step_masks)
-
-    h_top = check_finite("lstm hidden state", h[-1])
+    h_top = check_finite("lstm hidden state", x[-1].copy())  # a view would pin all of h
     note_probs = softmax(matmul(h_top, params.w_note) + params.b_note)
     dur_probs = softmax(matmul(h_top, params.w_dur) + params.b_dur)
-    cache = ForwardCache(train=train, steps=steps, masks=masks, h_final=h_top,
-                         note_probs=note_probs, dur_probs=dur_probs)
+    cache = ForwardCache(train=train, dropout=drop, note_ids=note_ids, dur_ids=dur_ids,
+                         layers=layers, h_final=h_top, note_probs=note_probs,
+                         dur_probs=dur_probs)
     return note_probs, dur_probs, cache
-
-
-def _cell_backward(dh: np.ndarray, dc_in: np.ndarray, cache: StepCache,
-                   params: LstmLayerParams, grads: dict, prefix: str,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop one cell step. Accumulates weight grads; returns
-    (dh_prev, dx, dc_prev)."""
-    do = dh * cache.tanh_c
-    dc = dc_in + dh * cache.o * (1.0 - cache.tanh_c ** 2)
-    df = dc * cache.c_prev
-    di = dc * cache.g
-    dg = dc * cache.i
-    dc_prev = dc * cache.f
-
-    dpre = {
-        "forget": df * cache.f * (1.0 - cache.f),
-        "input": di * cache.i * (1.0 - cache.i),
-        "cand": dg * (1.0 - cache.g ** 2),
-        "output": do * cache.o * (1.0 - cache.o),
-    }
-    hidden = params.hidden_size
-    dz = np.zeros_like(cache.z)
-    for gate in GATES:
-        d = dpre[gate]
-        grads[f"{prefix}.{gate}.w"] += matmul(d.T, cache.z)
-        grads[f"{prefix}.{gate}.b"] += d.sum(axis=0, keepdims=True)
-        dz += matmul(d, getattr(params, f"w_{gate}"))
-    return dz[:, :hidden], dz[:, hidden:], dc_prev
 
 
 def model_backward(cache: ForwardCache, note_targets: np.ndarray,
                    dur_targets: np.ndarray, params: ModelParams) -> dict[str, np.ndarray]:
     """Full BPTT from the two head losses. Returns {param name: gradient}
-    for the batch-summed loss CE_note + CE_dur."""
-    if not cache.train:
-        raise StaleCache("backward needs caches from a train-mode forward pass")
+    for the batch-summed loss CE_note + CE_dur; the layer entries are views
+    of one fused gradient per layer, laid out like the parameters.
+
+    The pass consumes the cache: each layer's gate activations are
+    overwritten with their gradients, and the cache is emptied at the end,
+    so it backs exactly one backward pass.
+    """
+    if not cache.train or not cache.layers:
+        raise StaleCache("backward needs the unused cache of a train-mode forward pass")
     note_targets = np.asarray(note_targets, dtype=np.int64).reshape(-1)
     dur_targets = np.asarray(dur_targets, dtype=np.int64).reshape(-1)
     B = cache.h_final.shape[0]
     if note_targets.shape[0] != B or dur_targets.shape[0] != B:
         raise ShapeMismatch("target count does not match batch size")
     rows = np.arange(B)
-
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_params()}
+    L = cache.note_ids.shape[1]
+    nv = params.w_note.shape[1]
 
     # softmax + cross-entropy: dlogits = probs - onehot(target)
     dlog_note = cache.note_probs.copy()
     dlog_note[rows, note_targets] -= 1.0
     dlog_dur = cache.dur_probs.copy()
     dlog_dur[rows, dur_targets] -= 1.0
+    grads = ModelParams(
+        layers=[LstmLayerParams(np.zeros_like(p.w), np.zeros_like(p.b)) for p in params.layers],
+        w_note=matmul(cache.h_final.T, dlog_note),
+        b_note=dlog_note.sum(axis=0, keepdims=True),
+        w_dur=matmul(cache.h_final.T, dlog_dur),
+        b_dur=dlog_dur.sum(axis=0, keepdims=True))
 
-    grads["head_note.w"] += matmul(cache.h_final.T, dlog_note)
-    grads["head_note.b"] += dlog_note.sum(axis=0, keepdims=True)
-    grads["head_dur.w"] += matmul(cache.h_final.T, dlog_dur)
-    grads["head_dur.b"] += dlog_dur.sum(axis=0, keepdims=True)
-
-    n_layers = len(params.layers)
-    L = len(cache.steps)
-    dh_carry = [zeros(B, p.hidden_size) for p in params.layers]
-    dc_carry = [zeros(B, p.hidden_size) for p in params.layers]
-
+    # gradient on a layer's h from above: the heads at the top layer's last
+    # step, the layer above's input gradient (L, B, H) below it
     dh_head = matmul(dlog_note, params.w_note.T) + matmul(dlog_dur, params.w_dur.T)
+    dh_in = None
+    for li in range(len(params.layers) - 1, -1, -1):
+        layer, lc, grad = params.layers[li], cache.layers[li], grads.layers[li]
+        H = layer.hidden_size
+        w_h, w_x = layer.w[:H], layer.w[H:]
+        dh = dh_head if dh_in is None else np.zeros((B, H))
+        dc = np.zeros((B, H))
+        for t in range(L - 1, -1, -1):
+            if dh_in is not None:
+                dh += dh_in[t]
+            a = lc.acts[t]
+            f, i, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+            tanh_c = np.tanh(lc.c[t + 1])
+            dc += dh * o * (1.0 - tanh_c ** 2)
+            d_f = dc * lc.c[t] * f * (1.0 - f)
+            d_i = dc * g * i * (1.0 - i)
+            d_o = dh * tanh_c * o * (1.0 - o)
+            d_g = dc * i * (1.0 - g ** 2)
+            dc *= f
+            a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:] = d_f, d_i, d_o, d_g
+            if t:
+                dh = matmul(a, w_h.T)
 
-    for t in range(L - 1, -1, -1):
-        from_above: np.ndarray | None = None
-        for li in range(n_layers - 1, -1, -1):
-            dh = dh_carry[li].copy()
-            if li == n_layers - 1 and t == L - 1:
-                dh += dh_head
-            if from_above is not None:
-                mask = cache.masks[t][li]
-                dh += from_above * mask if mask is not None else from_above
-            dh_prev, dx, dc_prev = _cell_backward(
-                dh, dc_carry[li], cache.steps[t][li], params.layers[li], grads, f"layer{li}")
-            dh_carry[li] = dh_prev
-            dc_carry[li] = dc_prev
-            from_above = dx
-        # dx of layer 0 is the gradient on the one-hot input; discarded
+        d_acts = lc.acts.reshape(L * B, 4 * H)
+        grad.w[:H] = matmul(lc.h[:-1].reshape(L * B, H).T, d_acts)
+        grad.b[...] = d_acts.sum(axis=0, keepdims=True)
+        if li == 0:  # scatter-add at the ids, the transpose of the row gather
+            # (a row loop: np.add.at is about 8x slower on 2-D rows)
+            grad_x = grad.w[H:]
+            for n, d, row in zip(cache.note_ids.T.ravel().tolist(),
+                                 cache.dur_ids.T.ravel().tolist(), d_acts):
+                grad_x[n] += row
+                grad_x[nv + d] += row
+            break
+        below = cache.layers[li - 1]
+        x = _dropped(below.h[1:], below.keep, cache.dropout)
+        grad.w[H:] = matmul(x.reshape(L * B, -1).T, d_acts)
+        x = dh_in = None  # free both before allocating the next dh_in
+        dh_in = matmul(d_acts, w_x.T).reshape(L, B, -1)
+        if below.keep is not None:
+            dh_in *= below.keep
+            dh_in *= 1.0 / (1.0 - cache.dropout)
 
-    return grads
+    cache.layers = []
+    return dict(grads.named_params())
 
 
 @dataclass
@@ -363,10 +376,10 @@ def grad_check(config: ModelConfig, rng: Rng, tolerance: float = 1e-4,
     worst = ""
     n_params = 0
     for name, arr in params.named_params():
-        flat = arr.reshape(-1)
+        flat = arr.flat  # gate weights are views, reshape(-1) would copy
         a_flat = analytic[name].reshape(-1)
-        n_params += flat.size
-        for k in range(flat.size):
+        n_params += arr.size
+        for k in range(arr.size):
             orig = flat[k]
             flat[k] = orig + step
             up = loss()

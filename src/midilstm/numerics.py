@@ -90,11 +90,6 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
 
-def as_matrix(rows: int, cols: int, values) -> np.ndarray:
-    out = np.asarray(values, dtype=np.float64).reshape(rows, cols)
-    return np.ascontiguousarray(out)
-
-
 def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.float64)
 
@@ -113,19 +108,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic, stable for large |x| (no overflow in exp)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise logistic as 0.5 * (1 + tanh(x / 2)): no overflow for
+    large |x| and no branches. ``out`` may be ``x`` itself."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
-
-
-def tanh_act(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

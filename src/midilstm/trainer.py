@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .corpus import CorpusFile, Dataset, Vocabulary, make_windows
-from .errors import BadCheckpoint, EmptyDataset, VocabMismatch
+from .errors import BadCheckpoint, DataError, EmptyDataset, TrainingDiverged, VocabMismatch
 from .lstm import ModelConfig, ModelParams, model_backward, model_forward
 from .numerics import (
     CE_FLOOR,
@@ -54,23 +54,7 @@ class TrainConfig:
             raise ValueError(f"holdout {self.holdout} outside [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "model": {
-                "note_vocab_size": self.model.note_vocab_size,
-                "dur_vocab_size": self.model.dur_vocab_size,
-                "hidden_sizes": list(self.model.hidden_sizes),
-                "dropout": self.model.dropout,
-                "window_len": self.model.window_len,
-            },
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "optimizer": self.optimizer,
-            "seed": self.seed,
-            "clip_norm": self.clip_norm,
-            "checkpoint_every": self.checkpoint_every,
-            "holdout": self.holdout,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -166,7 +150,9 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
     """Run the full training loop.
 
     Batch gradients are means over the batch; the global gradient norm is
-    clipped to ``clip_norm`` before each optimizer step. A batch size larger
+    clipped to ``clip_norm`` before each optimizer step. A non-finite batch
+    loss or gradient norm raises ``TrainingDiverged`` before that step, so
+    no NaN reaches the parameters or a checkpoint. A batch size larger
     than the window count is clamped down to it. Checkpoints are written
     every ``checkpoint_every`` epochs plus a final ``checkpoint.bin`` when
     ``out_dir`` is given. ``on_epoch`` is called with each MetricsRow.
@@ -217,6 +203,9 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
             for name in names:
                 grads[name] *= inv_b
             norm = global_norm(grads[name] for name in names)
+            if not np.isfinite(cn + cd + norm):
+                raise TrainingDiverged(f"epoch {epoch}, window {start}: loss {cn + cd}, "
+                                       f"gradient norm {norm}")
             if config.clip_norm > 0 and norm > config.clip_norm:
                 scale = config.clip_norm / norm
                 for name in names:
@@ -352,8 +341,12 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         header = json.loads(blob.decode("utf-8"))
         config = TrainConfig.from_dict(header["config"])
-    except (ValueError, KeyError) as exc:
-        raise BadCheckpoint(f"bad checkpoint header: {exc}") from None
+        params = ModelParams.zeros(config.model)
+        note_vocab = Vocabulary(header["note_vocab"])
+        dur_vocab = Vocabulary(header["dur_vocab"])
+        epoch, final_loss = header["epoch"], header["final_loss"]
+    except (ValueError, KeyError, TypeError, DataError) as exc:
+        raise BadCheckpoint(f"bad checkpoint header: {exc!r}") from None
 
     chunk, pos = take(pos, 4)
     (n_params,) = struct.unpack("<I", chunk)
@@ -362,14 +355,16 @@ def load_checkpoint(path) -> Checkpoint:
         chunk, pos = take(pos, 2)
         (name_len,) = struct.unpack("<H", chunk)
         chunk, pos = take(pos, name_len)
-        name = chunk.decode("utf-8")
+        try:
+            name = chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            raise BadCheckpoint(f"parameter name {chunk!r} is not UTF-8") from None
         chunk, pos = take(pos, 8)
         rows, cols = struct.unpack("<II", chunk)
         chunk, pos = take(pos, rows * cols * 8)
-        arrays[name] = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        arrays[name] = np.frombuffer(chunk, dtype="<f8").reshape(rows, cols)  # copied below
 
-    params = ModelParams.init(config.model, Rng(0))
-    for name, arr in params.named_params():
+    for name, arr in params.named_params():  # gate entries write through to the fused arrays
         if name not in arrays:
             raise BadCheckpoint(f"checkpoint missing parameter {name!r}")
         if arrays[name].shape != arr.shape:
@@ -377,14 +372,8 @@ def load_checkpoint(path) -> Checkpoint:
                                 f"expected {arr.shape}")
         arr[...] = arrays[name]
 
-    return Checkpoint(
-        config=config,
-        params=params,
-        note_vocab=Vocabulary(header["note_vocab"]),
-        dur_vocab=Vocabulary(header["dur_vocab"]),
-        epoch=header["epoch"],
-        final_loss=header["final_loss"],
-    )
+    return Checkpoint(config=config, params=params, note_vocab=note_vocab,
+                      dur_vocab=dur_vocab, epoch=epoch, final_loss=final_loss)
 
 
 def run_variants(base: TrainConfig, variants: list[tuple[str, TrainConfig]],

@@ -3,7 +3,6 @@ import pytest
 
 from midilstm.errors import IndexOutOfRange, ShapeMismatch, StaleCache
 from midilstm.lstm import (
-    GATES,
     LstmLayerParams,
     ModelConfig,
     ModelParams,
@@ -17,11 +16,11 @@ from midilstm.numerics import Rng, zeros
 
 
 def zero_layer(input_size: int, hidden: int) -> LstmLayerParams:
-    width = hidden + input_size
-    return LstmLayerParams(**{
-        f"{kind}_{gate}": zeros(hidden, width) if kind == "w" else zeros(1, hidden)
-        for gate in GATES for kind in ("w", "b")
-    })
+    return LstmLayerParams(w=zeros(hidden + input_size, 4 * hidden), b=zeros(1, 4 * hidden))
+
+
+def pre_activations(layer: LstmLayerParams, x, h_prev) -> np.ndarray:
+    return np.concatenate([h_prev, x], axis=1) @ layer.w + layer.b
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -46,7 +45,7 @@ class TestCellForward:
     def test_all_zero_params_zero_state(self):
         layer = zero_layer(3, 4)
         x = np.array([[1.0, 0.0, 0.0]])
-        h, c, _ = cell_forward(x, zeros(1, 4), zeros(1, 4), layer)
+        h, c = cell_forward(pre_activations(layer, x, zeros(1, 4)), zeros(1, 4))
         assert np.array_equal(h, zeros(1, 4))
         assert np.array_equal(c, zeros(1, 4))
 
@@ -56,17 +55,18 @@ class TestCellForward:
         layer = zero_layer(2, 3)
         c_prev = np.array([[0.4, -1.2, 2.0]])
         x = np.zeros((1, 2))
-        h, c, _ = cell_forward(x, zeros(1, 3), c_prev, layer)
+        h, c = cell_forward(pre_activations(layer, x, zeros(1, 3)), c_prev)
         assert np.allclose(c, 0.5 * c_prev)
         assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev))
 
     def test_saturated_forget_gate_keeps_cell_state(self):
         # large forget bias drives f -> 1, so c' -> c_prev + i*g (= c_prev
-        # with zero weights making g = 0)
+        # with zero weights making g = 0); the forget block is columns [0, H)
         layer = zero_layer(2, 3)
-        layer.b_forget += 50.0
+        layer.b[:, :3] += 50.0
         c_prev = np.array([[0.7, -0.3, 1.1]])
-        h, c, _ = cell_forward(np.zeros((1, 2)), zeros(1, 3), c_prev, layer)
+        a = pre_activations(layer, np.zeros((1, 2)), zeros(1, 3))
+        h, c = cell_forward(a, c_prev)
         assert np.max(np.abs(c - c_prev)) < 1e-9
         assert np.allclose(h, 0.5 * np.tanh(c_prev))
 
@@ -76,17 +76,17 @@ class TestCellForward:
         params = ModelParams.init(config, rng)
         note, dur, _, _ = random_inputs(config, rng)
         _, _, cache = model_forward(note, dur, params, config, train=True)
-        for step in cache.steps:
-            for sc in step:
-                assert np.all((sc.f > 0) & (sc.f < 1))
-                assert np.all((sc.i > 0) & (sc.i < 1))
-                assert np.all((sc.o > 0) & (sc.o < 1))
-                assert np.all(np.abs(sc.g) < 1)
+        assert len(cache.layers) == 2
+        for layer in cache.layers:
+            # columns: forget, input, output (sigmoid), then candidate (tanh)
+            assert np.all((layer.acts[..., :24] > 0) & (layer.acts[..., :24] < 1))
+            assert np.all(np.abs(layer.acts[..., 24:]) < 1)
 
     def test_shape_mismatch(self):
-        layer = zero_layer(2, 3)
-        with pytest.raises(ShapeMismatch):
-            cell_forward(np.zeros((1, 2)), zeros(2, 3), zeros(2, 3), layer)
+        with pytest.raises(ShapeMismatch):  # batch
+            cell_forward(np.zeros((1, 12)), zeros(2, 3))
+        with pytest.raises(ShapeMismatch):  # width
+            cell_forward(np.zeros((2, 8)), zeros(2, 3))
 
 
 class TestModelForward:
@@ -141,8 +141,9 @@ class TestModelForward:
 
     def test_forget_bias_initialized_to_one(self):
         params = ModelParams.init(small_config(), Rng(67))
-        assert np.all(params.layers[0].b_forget == 1.0)
-        assert np.all(params.layers[0].b_input == 0.0)
+        named = dict(params.named_params())
+        assert np.all(named["layer0.forget.b"] == 1.0)
+        assert np.all(named["layer0.input.b"] == 0.0)
 
 
 def finite_diff_grads(params, config, note, dur, note_t, dur_t, step=1e-5):
@@ -154,9 +155,9 @@ def finite_diff_grads(params, config, note, dur, note_t, dur_t, step=1e-5):
 
     out = {}
     for name, arr in params.named_params():
-        flat = arr.reshape(-1)
-        grad = np.zeros_like(flat)
-        for k in range(flat.size):
+        flat = arr.flat  # gate weights are views, reshape(-1) would copy
+        grad = np.zeros(arr.size)
+        for k in range(arr.size):
             orig = flat[k]
             flat[k] = orig + step
             up = loss()
@@ -246,6 +247,18 @@ class TestBackward:
         with pytest.raises(StaleCache):
             model_backward(cache, note_t, dur_t, params)
 
+    def test_cache_backs_one_backward_pass(self):
+        rng = Rng(99)
+        config = small_config(hidden_sizes=(8, 6))
+        params = ModelParams.init(config, rng)
+        note, dur, note_t, dur_t = random_inputs(config, rng)
+        _, _, cache = model_forward(note, dur, params, config, train=False)
+        assert cache.layers == []  # infer mode keeps no per-step state
+        _, _, cache = model_forward(note, dur, params, config, train=True)
+        model_backward(cache, note_t, dur_t, params)
+        with pytest.raises(StaleCache):
+            model_backward(cache, note_t, dur_t, params)
+
     def test_dropout_backward_matches_finite_differences(self):
         # freeze one dropout pattern by replaying the same rng stream
         config = small_config(hidden_sizes=(8, 6), dropout=0.4, window_len=3)
@@ -261,9 +274,9 @@ class TestBackward:
 
         step = 1e-5
         for name, arr in params.named_params():
-            flat = arr.reshape(-1)
+            flat = arr.flat
             a_flat = analytic[name].reshape(-1)
-            for k in range(0, flat.size, 7):  # sample every 7th entry for speed
+            for k in range(0, arr.size, 7):  # sample every 7th entry for speed
                 orig = flat[k]
                 flat[k] = orig + step
                 up = loss()

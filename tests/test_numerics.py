@@ -14,7 +14,6 @@ from midilstm.numerics import (
     matmul,
     sigmoid,
     softmax,
-    tanh_act,
     xavier_init,
 )
 
@@ -105,9 +104,6 @@ class TestActivations:
     def test_sigmoid_zero(self):
         assert sigmoid(np.array([[0.0]]))[0, 0] == 0.5
 
-    def test_tanh_zero(self):
-        assert tanh_act(np.array([[0.0]]))[0, 0] == 0.0
-
     def test_sigmoid_saturation_stays_finite(self):
         out = sigmoid(np.array([[-1000.0, 1000.0]]))
         assert np.all(np.isfinite(out))
@@ -117,12 +113,10 @@ class TestActivations:
     def test_ranges(self):
         # strict bounds hold until float64 rounds onto the asymptote
         x = np.linspace(-18, 18, 201).reshape(1, -1)
-        s, t = sigmoid(x), tanh_act(x)
+        s = sigmoid(x)
         assert np.all((s > 0) & (s < 1))
-        assert np.all((t > -1) & (t < 1))
         # saturated values clamp to the closed interval, never beyond
         far = np.array([[-1e6, 1e6]])
-        assert np.all(np.abs(tanh_act(far)) <= 1.0)
         assert np.all((sigmoid(far) >= 0.0) & (sigmoid(far) <= 1.0))
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import looped_song, song_dataset
-from midilstm.corpus import CorpusFile, Vocabulary
-from midilstm.errors import BadCheckpoint, EmptyDataset, VocabMismatch
+from midilstm import cli, trainer
+from midilstm.corpus import CorpusFile, Vocabulary, save_corpus
+from midilstm.errors import BadCheckpoint, EmptyDataset, TrainingDiverged, VocabMismatch
 from midilstm.lstm import ModelConfig, ModelParams
 from midilstm.numerics import Rng, derive_seed
 from midilstm.trainer import (
@@ -100,6 +101,29 @@ class TestTrain:
         assert seen == [1, 2, 3]
 
 
+class TestDivergence:
+    def test_nan_parameter_stops_before_any_checkpoint(self, tmp_path, monkeypatch):
+        real_init = ModelParams.init
+
+        def nan_init(config, rng):
+            params = real_init(config, rng)
+            params.w_note[0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(trainer.ModelParams, "init", nan_init)
+        dataset, config, nv, dv = tiny_setup(epochs=1)
+        with pytest.raises(TrainingDiverged):
+            train(dataset, config, nv, dv, out_dir=tmp_path)
+        assert not (tmp_path / "checkpoint.bin").exists()
+
+        corpus = tmp_path / "corpus.txt"
+        save_corpus(corpus, CorpusFile(12, 10, 48, [looped_song(5, n_tokens=80)]))
+        run = tmp_path / "run"
+        assert cli.main(["train", "--corpus", str(corpus), "--out", str(run), "--epochs", "1",
+                         "--hidden", "8", "--checkpoint-every", "0"]) == 2
+        assert not (run / "checkpoint.bin").exists()
+
+
 class TestHoldout:
     def test_split_reserves_trailing_windows(self):
         dataset, config, nv, dv = tiny_setup()
@@ -181,6 +205,59 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(BadCheckpoint):
             load_checkpoint(path)
+
+    def tiny_checkpoint(self, tmp_path):
+        dataset, config, nv, dv = tiny_setup(epochs=0, hidden=(4,))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, ModelParams.init(config.model, Rng(0)), config, nv, dv, 0, 0.5)
+        return path
+
+    def rewrite_header(self, path, edit):
+        data = path.read_bytes()
+        hlen = int.from_bytes(data[12:16], "little")
+        header = json.loads(data[16:16 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:12] + len(blob).to_bytes(4, "little") + blob + data[16 + hlen:])
+
+    @pytest.mark.parametrize("key", ["note_vocab", "dur_vocab", "epoch", "final_loss"])
+    def test_missing_header_key(self, tmp_path, key):
+        path = self.tiny_checkpoint(tmp_path)
+        self.rewrite_header(path, lambda h: h.pop(key))
+        with pytest.raises(BadCheckpoint):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [("hidden_sizes", ["4"]), ("hidden_sizes", 4),
+                                              ("note_vocab_size", "6"), ("dropout", None)])
+    def test_wrong_header_type(self, tmp_path, field, value):
+        path = self.tiny_checkpoint(tmp_path)
+        self.rewrite_header(path, lambda h: h["config"]["model"].update({field: value}))
+        with pytest.raises(BadCheckpoint):
+            load_checkpoint(path)
+
+    def test_non_utf8_parameter_name(self, tmp_path):
+        path = self.tiny_checkpoint(tmp_path)
+        data = path.read_bytes()
+        at = data.index(b"layer0.forget.w")
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(BadCheckpoint):
+            load_checkpoint(path)
+        corpus = tmp_path / "corpus.txt"
+        save_corpus(corpus, CorpusFile(12, 10, 48, [looped_song(5, n_tokens=80)]))
+        assert cli.main(["eval", "--checkpoint", str(path), "--corpus", str(corpus)]) == 2
+
+    def test_mutated_checkpoint_loads_or_raises_bad_checkpoint(self, tmp_path):
+        golden = self.tiny_checkpoint(tmp_path).read_bytes()
+        rng = Rng(6)
+        path = tmp_path / "mutant.bin"
+        for _ in range(400):
+            data = bytearray(golden)
+            data[rng.randint(len(data))] = rng.randint(256)
+            path.write_bytes(bytes(data))
+            try:
+                load_checkpoint(path)
+            except BadCheckpoint:
+                pass
 
     def test_magic_constant(self):
         assert CHECKPOINT_MAGIC == b"LSTMCMP1"
