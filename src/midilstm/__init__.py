@@ -11,7 +11,6 @@ from .corpus import (
     build_vocab,
     load_corpus,
     make_windows,
-    one_hot,
     save_corpus,
     tokenize,
 )
@@ -32,7 +31,7 @@ from .midi_io import (
     parse_midi,
     write_midi,
 )
-from .numerics import Rng, adam_step, cross_entropy, derive_seed, softmax, xavier_init
+from .numerics import Rng, adam_step, derive_seed, softmax, xavier_init
 from .score import NoteEvent, Piece, events_to_piece, piece_to_midi
 from .trainer import (
     Checkpoint,
@@ -40,7 +39,6 @@ from .trainer import (
     TrainConfig,
     evaluate,
     load_checkpoint,
-    run_variants,
     save_checkpoint,
     train,
 )

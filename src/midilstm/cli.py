@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -21,24 +22,20 @@ from .corpus import (
     DEFAULT_MAX_DUR,
     DEFAULT_WINDOW,
     CorpusFile,
+    format_song,
     load_corpus,
+    parse_song_line,
+    read_lines,
     save_corpus,
     tokenize,
 )
-from .errors import DataError, NoUsableFiles, VocabMismatch
+from .errors import CorpusTooShort, DataError, NoUsableFiles, VocabMismatch
 from .generator import GenConfig, emit, generate, pick_seed
 from .lstm import ModelConfig, grad_check, reference_check_config
 from .midi_io import events_equivalent, parse_midi, write_midi
 from .numerics import Rng, derive_seed
 from .score import DEFAULT_GRID, events_to_piece, piece_to_midi
-from .trainer import (
-    TrainConfig,
-    evaluate,
-    load_checkpoint,
-    run_variants,
-    train,
-    write_metrics,
-)
+from .trainer import TrainConfig, evaluate, load_checkpoint, train, write_metrics
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,12 +60,21 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     return sizes
 
 
-# every key a config file may carry, with its parser
+def _one_of(*choices: str):
+    def choice(text: str) -> str:
+        if text not in choices:
+            raise UsageError(f"{text!r} is not one of {', '.join(choices)}")
+        return text
+    return choice
+
+
+# every key a config file may carry, with its parser; each is also the
+# command-line flag --key-name of every command whose defaults hold the key
 CONFIG_KEYS = {
     "epochs": int,
     "batch_size": int,
     "lr": float,
-    "optimizer": str,
+    "optimizer": _one_of("adam", "sgd"),
     "clip_norm": float,
     "checkpoint_every": int,
     "holdout": float,
@@ -79,10 +85,24 @@ CONFIG_KEYS = {
     "max_dur": int,
     "length": int,
     "temperature": float,
-    "mode": str,
+    "mode": _one_of("sample", "argmax"),
     "repeat_cap": int,
     "count": int,
 }
+
+
+def _parse_setting(text: str, where: str) -> tuple[str, object]:
+    """One ``key = value`` setting, parsed by CONFIG_KEYS; errors name ``where``."""
+    key, sep, value = text.partition("=")
+    key, value = key.strip(), value.strip()
+    if not sep or not key:
+        raise UsageError(f"{where}: expected 'key = value', got {text!r}")
+    if key not in CONFIG_KEYS:
+        raise UsageError(f"{where}: unknown config key {key!r}")
+    try:
+        return key, CONFIG_KEYS[key](value)
+    except ValueError:
+        raise UsageError(f"{where}: bad value for {key!r}: {value!r}") from None
 
 
 def load_config_file(path) -> dict:
@@ -90,18 +110,9 @@ def load_config_file(path) -> dict:
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = CONFIG_KEYS[key](value.strip())
-        except ValueError:
-            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {value.strip()!r}") from None
+        if line:
+            key, value = _parse_setting(line, f"{path}:{lineno}")
+            values[key] = value
     return values
 
 
@@ -157,10 +168,11 @@ def _out_dir(args) -> Path:
 
 # --- commands ---
 
+_INGEST_DEFAULTS = {"grid": DEFAULT_GRID, "window_len": DEFAULT_WINDOW, "max_dur": DEFAULT_MAX_DUR}
+
+
 def cmd_ingest(args) -> int:
-    cfg = resolve_config(args, {
-        "grid": DEFAULT_GRID, "window_len": DEFAULT_WINDOW, "max_dur": DEFAULT_MAX_DUR,
-    })
+    cfg = resolve_config(args, _INGEST_DEFAULTS)
     midi_dir = Path(args.midi_dir)
     if not midi_dir.is_dir():
         raise NoUsableFiles(f"{midi_dir} is not a directory")
@@ -212,17 +224,8 @@ def _train_config_from(cfg: dict, corpus: CorpusFile, note_vocab, dur_vocab,
         dropout=cfg["dropout"],
         window_len=corpus.window_len,
     )
-    return TrainConfig(
-        model=model,
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        optimizer=cfg["optimizer"],
-        seed=seed,
-        clip_norm=cfg["clip_norm"],
-        checkpoint_every=cfg["checkpoint_every"],
-        holdout=cfg["holdout"],
-    )
+    return TrainConfig(model=model, seed=seed,
+                       **{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
 
 
 _TRAIN_DEFAULTS = {
@@ -260,11 +263,42 @@ def cmd_train(args) -> int:
 _GEN_DEFAULTS = {
     "count": 1, "length": 500, "temperature": 1.0, "mode": "sample", "repeat_cap": 8,
 }
+_VARIANT_DEFAULTS = _TRAIN_DEFAULTS | _GEN_DEFAULTS | {"count": 5}
+
+
+def _gen_config(cfg: dict) -> GenConfig:
+    """The validated GenConfig of a resolved config; rejects ``count`` < 1."""
+    if cfg["count"] < 1:
+        raise UsageError(f"count {cfg['count']} must be >= 1")
+    gen_config = GenConfig(**{f.name: cfg[f.name] for f in fields(GenConfig)})
+    gen_config.validate()
+    return gen_config
+
+
+def _random_seed_window(dataset, seed: int) -> dict:
+    """The window drawn from sub-seed ``seedwin``, as {"song", "offset"}."""
+    song, offset = pick_seed(dataset, Rng(derive_seed(seed, "seedwin")))
+    return {"song": song, "offset": offset}
+
+
+def _window_tokens(corpus: CorpusFile, window: dict):
+    L, song, offset = corpus.window_len, window["song"], window["offset"]
+    return corpus.songs[song][0][offset:offset + L], corpus.songs[song][1][offset:offset + L]
 
 
 def _resolve_seed_window(args, corpus: CorpusFile, dataset, seed: int):
     """Returns (seed_notes, seed_durs, description dict)."""
     L = corpus.window_len
+    if args.seed_file:
+        notes, durs = [], []
+        for line in read_lines(args.seed_file):
+            if line.strip() and not line.startswith("#"):
+                n, d = parse_song_line(line)
+                notes.extend(n)
+                durs.extend(d)
+        if len(notes) < L:
+            raise CorpusTooShort(f"seed file has {len(notes)} tokens, need {L}")
+        return notes[-L:], durs[-L:], {"source": "file", "name": Path(args.seed_file).name}
     if args.seed_window:
         song_text, sep, off_text = args.seed_window.partition(":")
         try:
@@ -276,63 +310,61 @@ def _resolve_seed_window(args, corpus: CorpusFile, dataset, seed: int):
         if not 0 <= song < len(corpus.songs) or offset < 0 \
                 or offset + L > len(corpus.songs[song][0]):
             raise DataError(f"seed window {song}:{offset} out of range")
-        source = {"source": "explicit", "song": song, "offset": offset}
-    elif args.seed_file:
-        from .corpus import parse_song_line
-        lines = [l for l in Path(args.seed_file).read_text(encoding="utf-8").splitlines()
-                 if l.strip() and not l.startswith("#")]
-        notes, durs = [], []
-        for line in lines:
-            n, d = parse_song_line(line)
-            notes.extend(n)
-            durs.extend(d)
-        if len(notes) < L:
-            from .errors import CorpusTooShort
-            raise CorpusTooShort(f"seed file has {len(notes)} tokens, need {L}")
-        return notes[-L:], durs[-L:], {"source": "file", "name": Path(args.seed_file).name}
+        window = {"source": "explicit", "song": song, "offset": offset}
     else:
-        rng = Rng(derive_seed(seed, "seedwin"))
-        song, offset = pick_seed(dataset, rng)
-        source = {"source": "random", "song": song, "offset": offset}
-    notes = corpus.songs[song][0][offset:offset + L]
-    durs = corpus.songs[song][1][offset:offset + L]
-    return notes, durs, source
+        window = {"source": "random", **_random_seed_window(dataset, seed)}
+    return *_window_tokens(corpus, window), window
 
 
-def cmd_generate(args) -> int:
-    cfg = resolve_config(args, _GEN_DEFAULTS)
-    ckpt = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus)
-    note_vocab, dur_vocab = corpus.build_vocabs()
-    if note_vocab != ckpt.note_vocab or dur_vocab != ckpt.dur_vocab:
-        raise VocabMismatch("corpus vocabularies differ from the checkpoint's")
-    dataset = corpus.to_dataset(note_vocab, dur_vocab)
-
-    seed_notes, seed_durs, window_info = _resolve_seed_window(args, corpus, dataset, args.seed)
-    gen_config = GenConfig(length=cfg["length"], temperature=cfg["temperature"],
-                           mode=cfg["mode"], repeat_cap=cfg["repeat_cap"])
-
-    out = _out_dir(args)
+def _write_songs(out_dir: Path, stem: str, params, model_config, note_vocab, dur_vocab,
+                 seed_notes, seed_durs, grid: int, gen_config: GenConfig, count: int,
+                 seed: int, tokens: bool = False) -> list[Path]:
+    """Generate ``count`` songs from one seed window into
+    ``out_dir/<stem>_NNN.mid`` (plus ``.tokens`` text when asked) and
+    return the written paths. Song i samples from sub-seed ``sampling.i``
+    alone, so it does not depend on ``count``."""
     files = []
     saturations = 0
-    for i in range(cfg["count"]):
-        rng = Rng(derive_seed(args.seed, f"sampling.{i}"))
-        result = generate(ckpt.params, ckpt.config.model, note_vocab, dur_vocab,
+    for i in range(count):
+        rng = Rng(derive_seed(seed, f"sampling.{i}"))
+        result = generate(params, model_config, note_vocab, dur_vocab,
                           seed_notes, seed_durs, gen_config, rng)
         saturations += result.guard_saturations
-        piece = emit(result.notes, result.durs, corpus.grid)
-        path = out / f"out_{i:03d}.mid"
+        piece = emit(result.notes, result.durs, grid)
+        path = out_dir / f"{stem}_{i:03d}.mid"
         path.write_bytes(write_midi(piece_to_midi(piece)))
-        if args.tokens:
-            token_path = out / f"out_{i:03d}.tokens"
-            from .corpus import format_song
+        if tokens:
+            token_path = path.with_suffix(".tokens")
             token_path.write_text(format_song(result.notes, result.durs) + "\n",
                                   encoding="utf-8")
             files.append(token_path)
         files.append(path)
-        print(f"wrote {path} ({len(result.notes)} events)")
     if saturations:
         print(f"warning: repetition guard saturated {saturations} time(s)", file=sys.stderr)
+    return files
+
+
+def _load_model_and_corpus(args):
+    """Checkpoint, corpus and encoded dataset, checked to share vocabularies."""
+    ckpt = load_checkpoint(args.checkpoint)
+    corpus = load_corpus(args.corpus)
+    if corpus.build_vocabs() != (ckpt.note_vocab, ckpt.dur_vocab):
+        raise VocabMismatch("corpus vocabularies differ from the checkpoint's")
+    return ckpt, corpus, corpus.to_dataset(ckpt.note_vocab, ckpt.dur_vocab)
+
+
+def cmd_generate(args) -> int:
+    cfg = resolve_config(args, _GEN_DEFAULTS)
+    gen_config = _gen_config(cfg)
+    ckpt, corpus, dataset = _load_model_and_corpus(args)
+    seed_notes, seed_durs, window_info = _resolve_seed_window(args, corpus, dataset, args.seed)
+    out = _out_dir(args)
+    files = _write_songs(out, "out", ckpt.params, ckpt.config.model, ckpt.note_vocab,
+                         ckpt.dur_vocab, seed_notes, seed_durs, corpus.grid, gen_config,
+                         cfg["count"], args.seed, args.tokens)
+    for path in files:
+        if path.suffix == ".mid":
+            print(f"wrote {path} ({gen_config.length} events)")
     write_manifest(out, "generate", cfg, [args.checkpoint, args.corpus], files,
                    args.seed, [f"sampling.{i}" for i in range(cfg["count"])],
                    extra={"seed_window": window_info})
@@ -340,13 +372,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.corpus)
-    note_vocab, dur_vocab = corpus.build_vocabs()
-    if note_vocab != ckpt.note_vocab or dur_vocab != ckpt.dur_vocab:
-        raise VocabMismatch("corpus vocabularies differ from the checkpoint's")
-    dataset = corpus.to_dataset(note_vocab, dur_vocab)
-    row = evaluate(ckpt.params, ckpt.config.model, dataset, note_vocab, dur_vocab,
+    ckpt, _, dataset = _load_model_and_corpus(args)
+    row = evaluate(ckpt.params, ckpt.config.model, dataset, ckpt.note_vocab, ckpt.dur_vocab,
                    epoch=ckpt.epoch)
     print(row.CSV_HEADER)
     print(row.csv_line())
@@ -354,49 +381,53 @@ def cmd_eval(args) -> int:
 
 
 def cmd_variants(args) -> int:
-    cfg = resolve_config(args, _TRAIN_DEFAULTS | _GEN_DEFAULTS | {"count": 5})
+    """Train every variant, then write ``count`` songs per variant under
+    ``<out>/<variant>/`` from one shared seed window, so the songs of two
+    variants differ only by what training made of their configs."""
+    cfg = resolve_config(args, _VARIANT_DEFAULTS)
     if not args.variant:
         raise UsageError("need at least one --variant NAME:key=value,...")
+    gen_config = _gen_config(cfg)
     corpus = load_corpus(args.corpus)
     note_vocab, dur_vocab = corpus.build_vocabs()
-    base = _train_config_from(cfg, corpus, note_vocab, dur_vocab, args.seed)
+    dataset = corpus.to_dataset(note_vocab, dur_vocab)
 
     variants = []
     for variant_text in args.variant:
         name, sep, overrides_text = variant_text.partition(":")
         if not sep or not name:
             raise UsageError(f"bad --variant {variant_text!r} (want NAME:key=value,...)")
-        overrides = {}
-        if overrides_text:
-            for item in overrides_text.split(","):
-                key, eq, value = item.partition("=")
-                key = key.strip()
-                if not eq or key not in CONFIG_KEYS:
-                    raise UsageError(f"bad variant override {item!r}")
-                try:
-                    overrides[key] = CONFIG_KEYS[key](value.strip())
-                except ValueError:
-                    raise UsageError(f"bad value in variant override {item!r}") from None
-        vcfg = dict(cfg)
-        vcfg.update(overrides)
-        variants.append((name, _train_config_from(vcfg, corpus, note_vocab, dur_vocab,
-                                                  args.seed)))
+        items = overrides_text.split(",") if overrides_text else []
+        overrides = dict(_parse_setting(item, f"--variant {variant_text!r}") for item in items)
+        variants.append((name, _train_config_from(cfg | overrides, corpus, note_vocab,
+                                                  dur_vocab, args.seed)))
 
-    gen_config = GenConfig(length=cfg["length"], temperature=cfg["temperature"],
-                           mode=cfg["mode"], repeat_cap=cfg["repeat_cap"])
+    window = _random_seed_window(dataset, args.seed)
+    seed_notes, seed_durs = _window_tokens(corpus, window)
     out = _out_dir(args)
-    manifest = run_variants(base, variants, corpus, out, n_songs=cfg["count"],
-                            gen_config=gen_config)
-    for name, entry in sorted(manifest["variants"].items()):
+    entries = {}
+    for name, train_config in variants:
+        vdir = out / name
+        vdir.mkdir(parents=True, exist_ok=True)
+        result = train(dataset, train_config, note_vocab, dur_vocab, out_dir=vdir)
+        songs = _write_songs(vdir, "song", result.params, train_config.model, note_vocab,
+                             dur_vocab, seed_notes, seed_durs, corpus.grid, gen_config,
+                             cfg["count"], args.seed)
+        write_metrics(vdir / "metrics.csv", result.metrics)
+        entries[name] = {
+            "config": train_config.to_dict(),
+            "seed_window": window,
+            "files": [f"{name}/{path.name}" for path in songs],
+            "final_loss": result.metrics[-1].loss if result.metrics else None,
+        }
+    for name, entry in sorted(entries.items()):
         loss = entry["final_loss"]
         loss_text = f"{loss:.4f}" if loss is not None else "n/a"
         print(f"{name}: final loss {loss_text}  {len(entry['files'])} song(s)")
-    all_files = [out / f for v in manifest["variants"].values() for f in v["files"]]
-    write_manifest(out, "variants", cfg, [args.corpus], all_files, args.seed,
+    write_manifest(out, "variants", cfg, [args.corpus],
+                   [out / f for entry in entries.values() for f in entry["files"]], args.seed,
                    ["seedwin"] + [f"sampling.{i}" for i in range(cfg["count"])],
-                   extra={"seed_window": manifest["seed_window"],
-                          "n_songs": manifest["n_songs"],
-                          "variants": manifest["variants"]})
+                   extra={"seed_window": window, "n_songs": cfg["count"], "variants": entries})
     return EXIT_OK
 
 
@@ -449,10 +480,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, func, summary: str, config_keys=()) -> argparse.ArgumentParser:
+    """Subcommand with one --key-name flag per config key plus the common flags."""
+    p = sub.add_parser(name, help=summary)
+    for key in config_keys:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=CONFIG_KEYS[key])
     p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,81 +497,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="convert a directory of MIDI files to a corpus file")
+    p = _add_command(sub, "ingest", cmd_ingest,
+                     "convert a directory of MIDI files to a corpus file", _INGEST_DEFAULTS)
     p.add_argument("--midi-dir", required=True)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--window-len", dest="window_len", type=int)
-    p.add_argument("--max-dur", dest="max_dur", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", help="train a model on a corpus file")
+    p = _add_command(sub, "train", cmd_train, "train a model on a corpus file", _TRAIN_DEFAULTS)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.add_argument("--holdout", type=float,
-                   help="fraction of trailing windows per song reserved for eval")
-    p.add_argument("--hidden", type=_parse_hidden, help="e.g. 512,512,512")
-    p.add_argument("--dropout", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("generate", help="sample MIDI files from a checkpoint")
+    p = _add_command(sub, "generate", cmd_generate, "sample MIDI files from a checkpoint",
+                     _GEN_DEFAULTS)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True, help="corpus file providing seed windows")
-    p.add_argument("--count", type=int)
-    p.add_argument("--length", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--mode", choices=("sample", "argmax"))
-    p.add_argument("--repeat-cap", dest="repeat_cap", type=int)
-    p.add_argument("--seed-window", help="explicit SONG:OFFSET seed window")
-    p.add_argument("--seed-file", help="token-text file supplying the seed window")
+    seed = p.add_mutually_exclusive_group()
+    seed.add_argument("--seed-window", help="explicit SONG:OFFSET seed window")
+    seed.add_argument("--seed-file", help="token-text file supplying the seed window")
     p.add_argument("--tokens", action="store_true",
                    help="also write generated token text next to each MIDI file")
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("eval", help="teacher-forced metrics for a checkpoint on a corpus")
+    p = _add_command(sub, "eval", cmd_eval, "teacher-forced metrics for a checkpoint on a corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("variants", help="train config variants and generate comparable songs")
+    p = _add_command(sub, "variants", cmd_variants,
+                     "train config variants and generate comparable songs", _VARIANT_DEFAULTS)
     p.add_argument("--corpus", required=True)
     p.add_argument("--variant", action="append", default=[],
                    metavar="NAME:key=value,...",
                    help="variant name plus config overrides (repeatable)")
-    p.add_argument("--count", type=int, help="songs per variant (default 5)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--hidden", type=_parse_hidden)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.add_argument("--length", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--mode", choices=("sample", "argmax"))
-    p.add_argument("--repeat-cap", dest="repeat_cap", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_variants)
 
-    p = sub.add_parser("gradcheck", help="verify BPTT against finite differences")
+    p = _add_command(sub, "gradcheck", cmd_gradcheck, "verify BPTT against finite differences",
+                     ["hidden"])
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--hidden", type=_parse_hidden)
-    _add_common(p)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("roundtrip", help="verify parse/write round trips on MIDI files")
+    p = _add_command(sub, "roundtrip", cmd_roundtrip,
+                     "verify parse/write round trips on MIDI files")
     p.add_argument("files", nargs="+")
-    _add_common(p)
-    p.set_defaults(func=cmd_roundtrip)
 
     return parser
 

@@ -1,4 +1,4 @@
-"""Token streams, vocabularies, one-hot encoding, and training windows.
+"""Token streams, vocabularies, and training windows.
 
 A Piece becomes two parallel streams: note tokens ("R" for a rest, else
 dot-joined ascending MIDI keys such as "60.64.67" -- chords are atomic
@@ -97,15 +97,6 @@ def build_vocab(tokens) -> Vocabulary:
     return Vocabulary(seen)
 
 
-def one_hot(index: int, size: int) -> np.ndarray:
-    """1 x size row vector with a single 1.0 at ``index``."""
-    if not 0 <= index < size:
-        raise IndexOutOfRange(f"index {index} outside [0, {size})")
-    row = np.zeros((1, size), dtype=np.float64)
-    row[0, index] = 1.0
-    return row
-
-
 @dataclass
 class Dataset:
     """Per-song id streams plus the window length that cuts them."""
@@ -199,9 +190,17 @@ def save_corpus(path, corpus: CorpusFile) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_lines(path) -> list[str]:
+    """Lines of a UTF-8 token-text file (a corpus or a seed file)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise BadCorpusFile(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_corpus(path) -> CorpusFile:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("#"):
         raise BadCorpusFile("missing '#grid=... L=... max_dur=...' header line")
     header: dict[str, int] = {}

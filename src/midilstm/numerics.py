@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra, activations, loss, init, Adam, and a
+"""Dense float64 linear algebra, activations, init, Adam, and a
 portable seeded RNG.
 
 All numeric state lives in 2-D row-major ``numpy.float64`` arrays; these are
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, ShapeMismatch
+from .errors import ShapeMismatch
 
 # opt-in debug guard: with MIDILSTM_DEBUG_FINITE=1 every guarded array is
 # checked for NaN/Inf, which are contract violations wherever they appear
@@ -128,14 +128,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
     return out[0] if squeeze else out
-
-
-def cross_entropy(probs: np.ndarray, target: int) -> float:
-    """-ln(p[target] + floor) for one probability row."""
-    p = np.asarray(probs, dtype=np.float64).reshape(-1)
-    if not 0 <= target < p.shape[0]:
-        raise IndexOutOfRange(f"target {target} outside [0, {p.shape[0]})")
-    return float(-np.log(p[target] + CE_FLOOR))
 
 
 def xavier_init(rows: int, cols: int, rng: Rng) -> np.ndarray:

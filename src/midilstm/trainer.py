@@ -1,5 +1,4 @@
-"""Mini-batch training, evaluation, binary checkpoints, and the
-multi-variant comparison harness.
+"""Mini-batch training, evaluation, and binary checkpoints.
 
 Training is deterministic end to end: window shuffling, dropout, and
 parameter init all draw from named sub-seeds of one master seed, and batch
@@ -11,11 +10,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .corpus import CorpusFile, Dataset, Vocabulary, make_windows
+from .corpus import Dataset, Vocabulary, make_windows
 from .errors import BadCheckpoint, DataError, EmptyDataset, TrainingDiverged, VocabMismatch
 from .lstm import ModelConfig, ModelParams, model_backward, model_forward
 from .numerics import (
@@ -58,17 +57,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        m = d["model"]
-        model = ModelConfig(
-            note_vocab_size=m["note_vocab_size"],
-            dur_vocab_size=m["dur_vocab_size"],
-            hidden_sizes=tuple(m["hidden_sizes"]),
-            dropout=m["dropout"],
-            window_len=m["window_len"],
-        )
-        return cls(model=model, **{k: d[k] for k in (
-            "epochs", "batch_size", "lr", "optimizer", "seed",
-            "clip_norm", "checkpoint_every", "holdout")})
+        """Inverse of ``to_dict``; a missing or unknown key raises KeyError."""
+        model = _from_fields(ModelConfig, {**d["model"],
+                                           "hidden_sizes": tuple(d["model"]["hidden_sizes"])})
+        return _from_fields(cls, {**d, "model": model})
+
+
+def _from_fields(cls, values: dict):
+    names = {f.name for f in fields(cls)}
+    if values.keys() != names:
+        raise KeyError(f"{cls.__name__} keys {sorted(values)} != {sorted(names)}")
+    return cls(**values)
 
 
 @dataclass
@@ -80,6 +79,13 @@ class MetricsRow:
     note_ppl: float
 
     CSV_HEADER = "epoch,loss,note_acc,dur_acc,note_ppl"
+
+    @classmethod
+    def from_totals(cls, epoch: int, totals: list, n: int) -> "MetricsRow":
+        """Row from summed (CE note, CE dur, note hits, dur hits) over n windows."""
+        ce_note, ce_dur, note_hits, dur_hits = totals
+        return cls(epoch, (ce_note + ce_dur) / n, note_hits / n, dur_hits / n,
+                   float(np.exp(ce_note / n)))
 
     def csv_line(self) -> str:
         return (f"{self.epoch},{self.loss:.6f},{self.note_acc:.6f},"
@@ -118,14 +124,16 @@ def _gather(dataset: Dataset, windows: list[tuple[int, int]]):
     return note_w, dur_w, note_t, dur_t
 
 
-def _batch_stats(note_probs, dur_probs, note_t, dur_t):
-    """Summed CE (note, dur) and correct-prediction counts for one batch."""
+def _add_batch_stats(totals: list, note_probs, dur_probs, note_t, dur_t) -> float:
+    """Add one batch's summed CE (note, dur) and correct-prediction counts
+    to ``totals`` in place; returns the batch's summed loss."""
     rows = np.arange(note_t.shape[0])
-    ce_note = -np.log(note_probs[rows, note_t] + CE_FLOOR)
-    ce_dur = -np.log(dur_probs[rows, dur_t] + CE_FLOOR)
+    ce_note = float(-np.log(note_probs[rows, note_t] + CE_FLOOR).sum())
+    ce_dur = float(-np.log(dur_probs[rows, dur_t] + CE_FLOOR).sum())
     note_hits = int(np.sum(note_probs.argmax(axis=1) == note_t))
     dur_hits = int(np.sum(dur_probs.argmax(axis=1) == dur_t))
-    return float(ce_note.sum()), float(ce_dur.sum()), note_hits, dur_hits
+    totals[:] = [t + s for t, s in zip(totals, (ce_note, ce_dur, note_hits, dur_hits))]
+    return ce_note + ce_dur
 
 
 def split_holdout(dataset: Dataset, windows: list[tuple[int, int]],
@@ -184,18 +192,13 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
     for epoch in range(1, config.epochs + 1):
         order = list(windows)
         shuffle_rng.shuffle(order)
-        ce_note_total = ce_dur_total = 0.0
-        note_hits = dur_hits = 0
+        totals = [0.0, 0.0, 0, 0]
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
             note_w, dur_w, note_t, dur_t = _gather(dataset, batch)
             note_probs, dur_probs, cache = model_forward(
                 note_w, dur_w, params, config.model, train=True, rng=dropout_rng)
-            cn, cd, hn, hd = _batch_stats(note_probs, dur_probs, note_t, dur_t)
-            ce_note_total += cn
-            ce_dur_total += cd
-            note_hits += hn
-            dur_hits += hd
+            loss = _add_batch_stats(totals, note_probs, dur_probs, note_t, dur_t)
 
             grads = model_backward(cache, note_t, dur_t, params)
             inv_b = 1.0 / len(batch)
@@ -203,8 +206,8 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
             for name in names:
                 grads[name] *= inv_b
             norm = global_norm(grads[name] for name in names)
-            if not np.isfinite(cn + cd + norm):
-                raise TrainingDiverged(f"epoch {epoch}, window {start}: loss {cn + cd}, "
+            if not np.isfinite(loss + norm):
+                raise TrainingDiverged(f"epoch {epoch}, window {start}: loss {loss}, "
                                        f"gradient norm {norm}")
             if config.clip_norm > 0 and norm > config.clip_norm:
                 scale = config.clip_norm / norm
@@ -217,15 +220,8 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
                     arr -= config.lr * grads[name]
                 check_finite(name, arr)
 
-        n = len(order)
-        mean_loss = (ce_note_total + ce_dur_total) / n
-        metrics.append(MetricsRow(
-            epoch=epoch,
-            loss=mean_loss,
-            note_acc=note_hits / n,
-            dur_acc=dur_hits / n,
-            note_ppl=float(np.exp(ce_note_total / n)),
-        ))
+        metrics.append(MetricsRow.from_totals(epoch, totals, len(order)))
+        mean_loss = metrics[-1].loss
         if on_epoch is not None:
             on_epoch(metrics[-1])
         if out_dir is not None and config.checkpoint_every > 0 and epoch % config.checkpoint_every == 0:
@@ -243,25 +239,13 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
 def _evaluate_windows(params: ModelParams, model_config: ModelConfig, dataset: Dataset,
                       windows: list[tuple[int, int]], epoch: int,
                       batch_size: int = 256) -> MetricsRow:
-    ce_note_total = ce_dur_total = 0.0
-    note_hits = dur_hits = 0
+    totals = [0.0, 0.0, 0, 0]
     for start in range(0, len(windows), batch_size):
         batch = windows[start:start + batch_size]
         note_w, dur_w, note_t, dur_t = _gather(dataset, batch)
         note_probs, dur_probs, _ = model_forward(note_w, dur_w, params, model_config)
-        cn, cd, hn, hd = _batch_stats(note_probs, dur_probs, note_t, dur_t)
-        ce_note_total += cn
-        ce_dur_total += cd
-        note_hits += hn
-        dur_hits += hd
-    n = len(windows)
-    return MetricsRow(
-        epoch=epoch,
-        loss=(ce_note_total + ce_dur_total) / n,
-        note_acc=note_hits / n,
-        dur_acc=dur_hits / n,
-        note_ppl=float(np.exp(ce_note_total / n)),
-    )
+        _add_batch_stats(totals, note_probs, dur_probs, note_t, dur_t)
+    return MetricsRow.from_totals(epoch, totals, len(windows))
 
 
 def evaluate(params: ModelParams, model_config: ModelConfig, dataset: Dataset,
@@ -374,65 +358,3 @@ def load_checkpoint(path) -> Checkpoint:
 
     return Checkpoint(config=config, params=params, note_vocab=note_vocab,
                       dur_vocab=dur_vocab, epoch=epoch, final_loss=final_loss)
-
-
-def run_variants(base: TrainConfig, variants: list[tuple[str, TrainConfig]],
-                 corpus: CorpusFile, out_dir, n_songs: int = 5,
-                 gen_config=None) -> dict:
-    """Train every variant and generate ``n_songs`` per variant, all starting
-    from one shared seed window so the outputs are directly comparable.
-
-    The seed window is drawn once from the base seed; per-song sampling
-    streams are derived from the song index only, so two variants with
-    identical configs produce identical songs. Writes MIDI files under
-    ``out_dir/<variant>/song_NNN.mid`` plus ``variants_manifest.json``;
-    returns the manifest dict.
-    """
-    from pathlib import Path
-
-    from .generator import GenConfig, emit, generate, pick_seed
-    from .midi_io import write_midi
-    from .score import piece_to_midi
-
-    if not variants:
-        raise ValueError("variant list is empty")
-    gen_config = gen_config or GenConfig()
-    note_vocab, dur_vocab = corpus.build_vocabs()
-    dataset = corpus.to_dataset(note_vocab, dur_vocab)
-
-    seed_rng = Rng(derive_seed(base.seed, "seedwin"))
-    song_idx, offset = pick_seed(dataset, seed_rng)
-    L = dataset.window_len
-    seed_notes = corpus.songs[song_idx][0][offset:offset + L]
-    seed_durs = corpus.songs[song_idx][1][offset:offset + L]
-
-    out_dir = Path(out_dir)
-    manifest = {
-        "seed_window": {"song": song_idx, "offset": offset},
-        "n_songs": n_songs,
-        "variants": {},
-    }
-    for name, cfg in variants:
-        vdir = out_dir / name
-        vdir.mkdir(parents=True, exist_ok=True)
-        result = train(dataset, cfg, note_vocab, dur_vocab, out_dir=vdir)
-        files = []
-        for i in range(n_songs):
-            sample_rng = Rng(derive_seed(base.seed, f"sampling.{i}"))
-            gen = generate(result.params, cfg.model, note_vocab, dur_vocab,
-                           seed_notes, seed_durs, gen_config, sample_rng)
-            piece = emit(gen.notes, gen.durs, corpus.grid)
-            path = vdir / f"song_{i:03d}.mid"
-            path.write_bytes(write_midi(piece_to_midi(piece)))
-            files.append(f"{name}/{path.name}")  # relative to out_dir
-        write_metrics(vdir / "metrics.csv", result.metrics)
-        manifest["variants"][name] = {
-            "config": cfg.to_dict(),
-            "seed_window": {"song": song_idx, "offset": offset},
-            "files": files,
-            "final_loss": result.metrics[-1].loss if result.metrics else None,
-        }
-    with open(out_dir / "variants_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return manifest

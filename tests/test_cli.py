@@ -2,13 +2,22 @@ import json
 
 import pytest
 
-from midilstm.cli import main
+from midilstm import cli
+from midilstm.cli import build_parser, main
 from midilstm.corpus import load_corpus
 from midilstm.midi_io import parse_midi
 from midilstm.score import events_to_piece
 
 TRAIN_FLAGS = ["--epochs", "2", "--hidden", "16", "--batch-size", "8",
                "--dropout", "0", "--checkpoint-every", "0"]
+
+# one value for every config key, as a config file or flag would spell it
+SETTINGS = {
+    "epochs": "3", "batch_size": "4", "lr": "0.5", "optimizer": "sgd", "clip_norm": "2.5",
+    "checkpoint_every": "2", "holdout": "0.25", "hidden": "4,4", "dropout": "0.1",
+    "window_len": "12", "grid": "6", "max_dur": "20", "length": "9", "temperature": "0.7",
+    "mode": "argmax", "repeat_cap": "3", "count": "2",
+}
 
 
 @pytest.fixture
@@ -82,6 +91,12 @@ class TestTrain:
         assert main(["train", "--corpus", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"#grid=12 L=10 max_dur=48\n60:3 \xff\xfe:3\n")
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path)]) == 2
+        assert "BadCorpusFile" in capsys.readouterr().err
+
     def test_grid_mismatch_is_data_error(self, pipeline, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("grid = 4\n")
@@ -132,6 +147,22 @@ class TestGenerate:
             blobs.append((out / "out_000.mid").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_song_does_not_depend_on_count(self, pipeline):
+        songs = []
+        for count in ("1", "3"):
+            out = pipeline / f"count{count}"
+            assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                         "--corpus", str(pipeline / "corpus.txt"), "--out", str(out),
+                         "--count", count, "--length", "25", "--seed", "11"]) == 0
+            songs.append((out / "out_000.mid").read_bytes())
+        assert songs[0] == songs[1]
+
+    def test_count_below_one_is_usage_error(self, pipeline):
+        assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                     "--corpus", str(pipeline / "corpus.txt"), "--out", str(pipeline / "g"),
+                     "--count", "0"]) == 1
+        assert not (pipeline / "g").exists()
+
     def test_explicit_seed_window(self, pipeline):
         out = pipeline / "gen"
         assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
@@ -150,6 +181,23 @@ class TestGenerate:
                      "--length", "10", "--seed-file", str(seed_path)]) == 0
         manifest = json.loads((out / "generate_manifest.json").read_text())
         assert manifest["seed_window"]["source"] == "file"
+
+    def test_seed_window_with_seed_file_is_usage_error(self, pipeline, tmp_path):
+        seed_path = tmp_path / "seed.txt"
+        seed_path.write_text((pipeline / "corpus.txt").read_text().splitlines()[1] + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                  "--corpus", str(pipeline / "corpus.txt"), "--out", str(pipeline / "gen"),
+                  "--seed-window", "0:3", "--seed-file", str(seed_path)])
+        assert exc.value.code == 1
+
+    def test_non_utf8_seed_file_is_data_error(self, pipeline, tmp_path, capsys):
+        seed_path = tmp_path / "seed.txt"
+        seed_path.write_bytes(b"60:3 \xff:3\n")
+        assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                     "--corpus", str(pipeline / "corpus.txt"),
+                     "--out", str(pipeline / "gen"), "--seed-file", str(seed_path)]) == 2
+        assert "BadCorpusFile" in capsys.readouterr().err
 
     def test_short_seed_file_is_data_error(self, pipeline, tmp_path):
         seed_path = tmp_path / "seed.txt"
@@ -197,6 +245,45 @@ class TestVariants:
         assert len(mids) == 4
         windows = {json.dumps(v["seed_window"]) for v in manifest["variants"].values()}
         assert len(windows) == 1
+
+    def variants(self, pipeline, out, *flags):
+        return main(["variants", "--corpus", str(pipeline / "corpus.txt"), "--out", str(out),
+                     "--seed", "7", *TRAIN_FLAGS, *flags])
+
+    def test_identical_variants_produce_identical_files(self, pipeline):
+        out = pipeline / "var"
+        assert self.variants(pipeline, out, "--count", "2", "--length", "15",
+                             "--variant", "x:", "--variant", "y:") == 0
+        for i in range(2):
+            assert (out / "x" / f"song_{i:03d}.mid").read_bytes() == \
+                (out / "y" / f"song_{i:03d}.mid").read_bytes()
+
+    def test_songs_within_variant_differ(self, pipeline):
+        out = pipeline / "var"
+        assert self.variants(pipeline, out, "--count", "3", "--length", "40",
+                             "--mode", "sample", "--variant", "v:") == 0
+        assert len({(out / "v" / f"song_{i:03d}.mid").read_bytes() for i in range(3)}) == 3
+
+    def test_variant_songs_match_train_then_generate(self, pipeline):
+        out = pipeline / "var"
+        assert self.variants(pipeline, out, "--count", "3", "--length", "15",
+                             "--variant", "a:") == 0
+        gen = pipeline / "gen"
+        assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                     "--corpus", str(pipeline / "corpus.txt"), "--out", str(gen),
+                     "--count", "3", "--length", "15", "--seed", "7"]) == 0
+        for i in range(3):
+            assert (out / "a" / f"song_{i:03d}.mid").read_bytes() == \
+                (gen / f"out_{i:03d}.mid").read_bytes()
+        manifests = [json.loads(p.read_text()) for p in (out / "variants_manifest.json",
+                                                          gen / "generate_manifest.json")]
+        assert manifests[0]["seed_window"] == \
+            {k: v for k, v in manifests[1]["seed_window"].items() if k != "source"}
+
+    def test_count_below_one_is_usage_error(self, pipeline):
+        out = pipeline / "var"
+        assert self.variants(pipeline, out, "--count", "0", "--variant", "a:") == 1
+        assert not out.exists()
 
     def test_no_variant_flag_is_usage_error(self, pipeline):
         assert main(["variants", "--corpus", str(pipeline / "corpus.txt"),
@@ -253,6 +340,31 @@ class TestUsage:
     def test_bad_numeric_value_is_usage_error(self, pipeline):
         assert main(["train", "--corpus", str(pipeline / "corpus.txt"),
                      "--out", str(pipeline), "--epochs", "-1"]) == 1
+
+    @pytest.mark.parametrize("command, required, defaults", [
+        ("ingest", ["--midi-dir", "d"], cli._INGEST_DEFAULTS),
+        ("train", ["--corpus", "c"], cli._TRAIN_DEFAULTS),
+        ("generate", ["--checkpoint", "k", "--corpus", "c"], cli._GEN_DEFAULTS),
+        ("variants", ["--corpus", "c"], cli._VARIANT_DEFAULTS),
+    ])
+    def test_every_config_key_has_a_flag(self, command, required, defaults):
+        for key in defaults:
+            flag = "--" + key.replace("_", "-")
+            args = build_parser().parse_args([command, *required, flag, SETTINGS[key]])
+            assert getattr(args, key) == cli.CONFIG_KEYS[key](SETTINGS[key])
+
+    @pytest.mark.parametrize("flag", ["--mode", "--optimizer"])
+    def test_unknown_choice_is_usage_error(self, pipeline, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["variants", "--corpus", str(pipeline / "corpus.txt"),
+                  "--out", str(pipeline / "var"), "--variant", "a:", flag, "bogus"])
+        assert exc.value.code == 1
+        cfg = pipeline / "bad.cfg"
+        cfg.write_text(f"{flag[2:]} = bogus\n")
+        assert main(["variants", "--corpus", str(pipeline / "corpus.txt"),
+                     "--out", str(pipeline / "var"), "--variant", "a:",
+                     "--config", str(cfg)]) == 1
+        assert not (pipeline / "var").exists()  # rejected before any training
 
     def test_bad_temperature_is_usage_error(self, pipeline):
         assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from midilstm.corpus import (
@@ -8,7 +7,6 @@ from midilstm.corpus import (
     format_song,
     load_corpus,
     make_windows,
-    one_hot,
     parse_note_token,
     parse_song_line,
     save_corpus,
@@ -80,26 +78,6 @@ class TestVocabulary:
         vocab = build_vocab(["60"])
         with pytest.raises(IndexOutOfRange):
             vocab.decode(1)
-
-
-class TestOneHot:
-    def test_basic(self):
-        assert one_hot(2, 4).tolist() == [[0.0, 0.0, 1.0, 0.0]]
-
-    def test_single(self):
-        assert one_hot(0, 1).tolist() == [[1.0]]
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            one_hot(4, 4)
-        with pytest.raises(IndexOutOfRange):
-            one_hot(-1, 4)
-
-    def test_row_sums_to_one(self):
-        for i in range(5):
-            row = one_hot(i, 5)
-            assert row.sum() == 1.0
-            assert np.count_nonzero(row) == 1
 
 
 class TestWindows:

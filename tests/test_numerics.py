@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from midilstm.errors import IndexOutOfRange, ShapeMismatch
+from midilstm.errors import ShapeMismatch
 from midilstm.numerics import (
     AdamState,
     Rng,
     adam_step,
-    cross_entropy,
     derive_seed,
     global_norm,
     matmul,
@@ -146,23 +145,6 @@ class TestSoftmax:
         a = softmax(logits)
         b = softmax(logits + 123.456)
         assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
-
-
-class TestCrossEntropy:
-    def test_half(self):
-        assert cross_entropy(np.array([0.5, 0.5]), 0) == pytest.approx(math.log(2), rel=1e-9)
-
-    def test_perfect(self):
-        assert cross_entropy(np.array([1.0, 0.0]), 0) == pytest.approx(0.0, abs=1e-11)
-
-    def test_uniform_is_log_n(self):
-        for n in (2, 5, 30):
-            probs = np.full(n, 1.0 / n)
-            assert cross_entropy(probs, n - 1) == pytest.approx(math.log(n), rel=1e-9)
-
-    def test_bad_target(self):
-        with pytest.raises(IndexOutOfRange):
-            cross_entropy(np.array([1.0]), 1)
 
 
 class TestXavier:

@@ -15,7 +15,6 @@ from midilstm.trainer import (
     TrainConfig,
     evaluate,
     load_checkpoint,
-    run_variants,
     save_checkpoint,
     split_holdout,
     train,
@@ -235,6 +234,16 @@ class TestCheckpoint:
         with pytest.raises(BadCheckpoint):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", [lambda c: c.pop("epochs"),
+                                      lambda c: c["model"].pop("window_len"),
+                                      lambda c: c.update(warp_speed=9),
+                                      lambda c: c["model"].update(warp_speed=9)])
+    def test_config_keys_must_match_fields(self, tmp_path, edit):
+        path = self.tiny_checkpoint(tmp_path)
+        self.rewrite_header(path, lambda h: edit(h["config"]))
+        with pytest.raises(BadCheckpoint):
+            load_checkpoint(path)
+
     def test_non_utf8_parameter_name(self, tmp_path):
         path = self.tiny_checkpoint(tmp_path)
         data = path.read_bytes()
@@ -261,61 +270,3 @@ class TestCheckpoint:
 
     def test_magic_constant(self):
         assert CHECKPOINT_MAGIC == b"LSTMCMP1"
-
-
-class TestVariants:
-    def corpus(self):
-        songs = [looped_song(s, n_tokens=30, period=7, n_pitches=5) for s in (1, 2)]
-        return CorpusFile(12, 10, 48, songs)
-
-    def base_config(self, corpus, **overrides):
-        nv, dv = corpus.build_vocabs()
-        defaults = dict(epochs=1, batch_size=8, lr=1e-3, optimizer="adam", seed=3,
-                        checkpoint_every=0)
-        defaults.update(overrides)
-        return TrainConfig(
-            model=ModelConfig(len(nv), len(dv), hidden_sizes=(8,), dropout=0.0,
-                              window_len=10),
-            **defaults)
-
-    def test_two_variants_make_two_sets_of_songs(self, tmp_path):
-        from dataclasses import replace
-        from midilstm.generator import GenConfig
-        corpus = self.corpus()
-        base = self.base_config(corpus)
-        variants = [("small", base), ("slow", replace(base, lr=1e-4))]
-        manifest = run_variants(base, variants, corpus, tmp_path, n_songs=3,
-                                gen_config=GenConfig(length=20))
-        files = [f for v in manifest["variants"].values() for f in v["files"]]
-        assert len(files) == 6
-        for f in files:
-            assert (tmp_path / f).exists()
-        seeds = {json.dumps(v["seed_window"]) for v in manifest["variants"].values()}
-        assert len(seeds) == 1  # every variant starts from the same input
-        on_disk = json.loads((tmp_path / "variants_manifest.json").read_text())
-        assert on_disk["variants"].keys() == {"small", "slow"}
-
-    def test_identical_variants_produce_identical_files(self, tmp_path):
-        from midilstm.generator import GenConfig
-        corpus = self.corpus()
-        base = self.base_config(corpus)
-        run_variants(base, [("x", base), ("y", base)], corpus, tmp_path, n_songs=2,
-                     gen_config=GenConfig(length=15))
-        for i in range(2):
-            a = (tmp_path / "x" / f"song_{i:03d}.mid").read_bytes()
-            b = (tmp_path / "y" / f"song_{i:03d}.mid").read_bytes()
-            assert a == b
-
-    def test_songs_within_variant_differ(self, tmp_path):
-        from midilstm.generator import GenConfig
-        corpus = self.corpus()
-        base = self.base_config(corpus)
-        run_variants(base, [("v", base)], corpus, tmp_path, n_songs=3,
-                     gen_config=GenConfig(length=40, mode="sample"))
-        blobs = {(tmp_path / "v" / f"song_{i:03d}.mid").read_bytes() for i in range(3)}
-        assert len(blobs) == 3
-
-    def test_empty_variant_list_rejected(self, tmp_path):
-        corpus = self.corpus()
-        with pytest.raises(ValueError):
-            run_variants(self.base_config(corpus), [], corpus, tmp_path)
