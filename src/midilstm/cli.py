@@ -318,12 +318,13 @@ def _resolve_seed_window(args, corpus: CorpusFile, dataset, seed: int):
 
 def _write_songs(out_dir: Path, stem: str, params, model_config, note_vocab, dur_vocab,
                  seed_notes, seed_durs, grid: int, gen_config: GenConfig, count: int,
-                 seed: int, tokens: bool = False) -> list[Path]:
+                 seed: int, tokens: bool = False) -> tuple[list[Path], list[dict]]:
     """Generate ``count`` songs from one seed window into
-    ``out_dir/<stem>_NNN.mid`` (plus ``.tokens`` text when asked) and
-    return the written paths. Song i samples from sub-seed ``sampling.i``
+    ``out_dir/<stem>_NNN.mid`` (plus ``.tokens`` text when asked). Returns
+    the written paths and, per song, its MIDI file name and repetition
+    stats for the manifest. Song i samples from sub-seed ``sampling.i``
     alone, so it does not depend on ``count``."""
-    files = []
+    files, songs = [], []
     saturations = 0
     for i in range(count):
         rng = Rng(derive_seed(seed, f"sampling.{i}"))
@@ -339,9 +340,10 @@ def _write_songs(out_dir: Path, stem: str, params, model_config, note_vocab, dur
                                   encoding="utf-8")
             files.append(token_path)
         files.append(path)
+        songs.append({"file": path.name, **result.stats()})
     if saturations:
         print(f"warning: repetition guard saturated {saturations} time(s)", file=sys.stderr)
-    return files
+    return files, songs
 
 
 def _load_model_and_corpus(args):
@@ -359,15 +361,15 @@ def cmd_generate(args) -> int:
     ckpt, corpus, dataset = _load_model_and_corpus(args)
     seed_notes, seed_durs, window_info = _resolve_seed_window(args, corpus, dataset, args.seed)
     out = _out_dir(args)
-    files = _write_songs(out, "out", ckpt.params, ckpt.config.model, ckpt.note_vocab,
-                         ckpt.dur_vocab, seed_notes, seed_durs, corpus.grid, gen_config,
-                         cfg["count"], args.seed, args.tokens)
+    files, songs = _write_songs(out, "out", ckpt.params, ckpt.config.model, ckpt.note_vocab,
+                                ckpt.dur_vocab, seed_notes, seed_durs, corpus.grid,
+                                gen_config, cfg["count"], args.seed, args.tokens)
     for path in files:
         if path.suffix == ".mid":
             print(f"wrote {path} ({gen_config.length} events)")
     write_manifest(out, "generate", cfg, [args.checkpoint, args.corpus], files,
                    args.seed, [f"sampling.{i}" for i in range(cfg["count"])],
-                   extra={"seed_window": window_info})
+                   extra={"seed_window": window_info, "songs": songs})
     return EXIT_OK
 
 
@@ -399,6 +401,12 @@ def cmd_variants(args) -> int:
             raise UsageError(f"bad --variant {variant_text!r} (want NAME:key=value,...)")
         items = overrides_text.split(",") if overrides_text else []
         overrides = dict(_parse_setting(item, f"--variant {variant_text!r}") for item in items)
+        shared = sorted(overrides.keys() & _GEN_DEFAULTS.keys())
+        if shared:
+            raise UsageError(f"--variant {variant_text!r}: generation settings "
+                             f"({', '.join(shared)}) are shared by every variant")
+        if any(name == other for other, _ in variants):
+            raise UsageError(f"variant name {name!r} given twice")
         variants.append((name, _train_config_from(cfg | overrides, corpus, note_vocab,
                                                   dur_vocab, args.seed)))
 
@@ -410,14 +418,15 @@ def cmd_variants(args) -> int:
         vdir = out / name
         vdir.mkdir(parents=True, exist_ok=True)
         result = train(dataset, train_config, note_vocab, dur_vocab, out_dir=vdir)
-        songs = _write_songs(vdir, "song", result.params, train_config.model, note_vocab,
-                             dur_vocab, seed_notes, seed_durs, corpus.grid, gen_config,
-                             cfg["count"], args.seed)
+        files, songs = _write_songs(vdir, "song", result.params, train_config.model, note_vocab,
+                                    dur_vocab, seed_notes, seed_durs, corpus.grid,
+                                    gen_config, cfg["count"], args.seed)
         write_metrics(vdir / "metrics.csv", result.metrics)
         entries[name] = {
             "config": train_config.to_dict(),
             "seed_window": window,
-            "files": [f"{name}/{path.name}" for path in songs],
+            "files": [f"{name}/{path.name}" for path in files],
+            "songs": songs,
             "final_loss": result.metrics[-1].loss if result.metrics else None,
         }
     for name, entry in sorted(entries.items()):

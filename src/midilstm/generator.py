@@ -1,6 +1,17 @@
 """Autoregressive generation: slide a fixed-length context window over the
 model, sample the next (note, duration) pair from the two heads, repeat.
 
+Every window runs through the stack from zero state over its own L tokens,
+as in training. Window u covers tokens u-L .. u-1 and yields token u, so up
+to L windows are in flight at once and all of them consume the same token
+at the same step. They advance together as the rows of one batch, oldest
+first: at step t a window with zero state joins for the window that starts
+at token t, every row consumes token t (one batched product and one cell
+step per layer), and once the oldest row has consumed its L tokens its top
+h feeds the heads, the next token is sampled and the row leaves. The work
+per token is that of one full window, grouped into L-row products instead
+of L single-row ones.
+
 Temperature divides the head logits before the softmax (applied here to
 log-probabilities, which is algebraically identical). The repetition guard
 breaks the failure mode where a model locks onto one note: once the last
@@ -18,7 +29,7 @@ import numpy as np
 
 from .corpus import Dataset, Vocabulary, parse_note_token
 from .errors import BadToken, CorpusTooShort, OovSeedToken
-from .lstm import ModelConfig, ModelParams, model_forward
+from .lstm import ModelConfig, ModelParams, heads, step_rows
 from .numerics import Rng, softmax
 from .score import DEFAULT_TEMPO, NoteEvent, Piece
 
@@ -89,28 +100,55 @@ class GenResult:
     notes: list[str]
     durs: list[int]
     guard_saturations: int = 0
+    guard_triggers: int = 0  # notes the guard excluded, saturations included
+
+    def stats(self) -> dict:
+        """The song's repetition facts, as the manifest records them."""
+        longest = run = 0
+        for i, note in enumerate(self.notes):
+            run = run + 1 if i and note == self.notes[i - 1] else 1
+            longest = max(longest, run)
+        return {"guard_triggers": self.guard_triggers,
+                "guard_saturations": self.guard_saturations,
+                "longest_run": longest,
+                "distinct_note_ratio": len(set(self.notes)) / len(self.notes)}
+
+
+def _open_row(states: list[np.ndarray]) -> list[np.ndarray]:
+    """``states`` with one more row of zero state at the end."""
+    return [np.concatenate([s, np.zeros((1, s.shape[1]))]) for s in states]
 
 
 def generate(params: ModelParams, model_config: ModelConfig,
              note_vocab: Vocabulary, dur_vocab: Vocabulary,
              seed_notes, seed_durs, config: GenConfig, rng: Rng) -> GenResult:
     """Generate exactly ``config.length`` (note, duration) pairs from a seed
-    window, sliding the context by one token per step."""
+    window, sliding the context by one token per step (see the module
+    docstring for how the windows are batched)."""
     config.validate()
     if len(seed_notes) != len(seed_durs) or not seed_notes:
         raise OovSeedToken("seed streams must be equal-length and non-empty")
-    note_win = _encode_seed(seed_notes, note_vocab, "note")
-    dur_win = _encode_seed(seed_durs, dur_vocab, "duration")
+    note_ids = _encode_seed(seed_notes, note_vocab, "note")
+    dur_ids = _encode_seed(seed_durs, dur_vocab, "duration")
+    L, n = len(note_ids), config.length
 
     out_notes: list[str] = []
     out_durs: list[int] = []
-    saturations = 0
+    saturations = triggers = 0
     run_id = -1
     run_len = 0
+    h = [np.zeros((0, layer.hidden_size)) for layer in params.layers]
+    c = list(h)
 
-    for _ in range(config.length):
-        note_probs, dur_probs, _ = model_forward(
-            np.array([note_win]), np.array([dur_win]), params, model_config)
+    for t in range(L + n - 1):
+        if t < n:  # the window that yields token t + L starts at token t
+            h, c = _open_row(h), _open_row(c)
+        step_rows(params, h, c, note_ids[t], dur_ids[t])
+        if t < L - 1:
+            continue
+        # the oldest window has consumed its L tokens: it yields token t + 1
+        note_probs, dur_probs = heads(h[-1][:1], params)
+        h, c = [s[1:] for s in h], [s[1:] for s in c]
         note_base = note_probs[0]
         if config.mode == "argmax":
             note_p = note_base
@@ -124,6 +162,7 @@ def generate(params: ModelParams, model_config: ModelConfig,
             # exclude from the raw head distribution and re-apply temperature:
             # tempering after the exclusion is the same distribution but does
             # not underflow at small temperatures
+            triggers += 1
             masked = note_base.copy()
             masked[note_id] = 0.0
             total = masked.sum()
@@ -144,10 +183,10 @@ def generate(params: ModelParams, model_config: ModelConfig,
 
         out_notes.append(note_vocab.decode(note_id))
         out_durs.append(dur_vocab.decode(dur_id))
-        note_win = note_win[1:] + [note_id]
-        dur_win = dur_win[1:] + [dur_id]
+        note_ids.append(note_id)
+        dur_ids.append(dur_id)
 
-    return GenResult(out_notes, out_durs, saturations)
+    return GenResult(out_notes, out_durs, saturations, triggers)
 
 
 def emit(notes, durs, grid: int, tempo: int = DEFAULT_TEMPO) -> Piece:

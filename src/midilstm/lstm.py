@@ -21,10 +21,14 @@ and the gradient check read and write the fused arrays through them and
 the file format does not depend on the layout.
 
 The input at each step is the concatenated one-hot of the two ids, so
-layer 0's input term is the sum of two rows of ``w[H:]``, gathered for all
-L steps at once. Upper layers' input terms are one product over all L*B
-rows, and the backward pass forms each layer's weight gradients from all
-timesteps at once: only the h -> h recurrence runs step by step.
+layer 0's input term is the sum of two rows of ``w[H:]``: the note rows
+gathered for all L steps at once, the duration rows step by step. Upper
+layers' input terms are one product over all L*B rows, and the backward
+pass forms each layer's weight gradients from all timesteps at once: only
+the h -> h recurrence runs step by step.
+``step_rows`` is the other way through the same cell: it advances a batch
+of windows that all read the same token by one step, which is how the
+generator runs its windows in flight; both paths end in ``heads``.
 
 Inverted dropout is applied to each layer's h on the way up to the next
 layer (train mode only); the recurrent h -> h_next connection and the head
@@ -204,7 +208,8 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
 
     The stack runs layer by layer, each over all L steps. Train-mode
     dropout draws ``B * H`` uniforms per step and per dropped layer, in
-    step-major order, as one block from ``rng``.
+    step-major order, as one block from ``rng``. Infer mode keeps one
+    layer's h and a rolling c, and no cache.
     """
     nv, dv = config.note_vocab_size, config.dur_vocab_size
     note_ids = _check_ids(note_ids, nv, "note")
@@ -227,29 +232,64 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
     x = None
     for layer, H, keep in zip(params.layers, sizes, keeps):
         w_h, w_x = layer.w[:H], layer.w[H:]
-        if x is None:  # layer 0: the one-hot product is a row gather
+        first = x is None
+        if first:  # layer 0: the one-hot product is a row gather; the
+            # duration rows and the bias join step by step below
             acts = w_x[note_ids.T]
-            acts += w_x[nv + dur_ids.T]
         else:
             acts = matmul(x.reshape(L * B, -1), w_x).reshape(L, B, 4 * H)
-        acts += layer.b
+            acts += layer.b
+        x = h = None  # unless the cache holds them, free the layer below's h
         h = np.zeros((L + 1, B, H))
-        c = np.zeros((L + 1, B, H))
+        c = np.zeros((B, H))
+        c_all = np.zeros((L + 1, B, H)) if train else None
         for t in range(L):
+            if first:
+                acts[t] += w_x[nv + dur_ids[:, t]]
+                acts[t] += layer.b
             if t:
                 acts[t] += matmul(h[t], w_h)
-            h[t + 1], c[t + 1] = cell_forward(acts[t], c[t])
+            h[t + 1], c = cell_forward(acts[t], c)
+            if train:
+                c_all[t + 1] = c
         x = _dropped(h[1:], keep, drop)
         if train:
-            layers.append(LayerCache(acts=acts, h=h, c=c, keep=keep))
+            layers.append(LayerCache(acts=acts, h=h, c=c_all, keep=keep))
+        acts = None  # and this layer's pre-activations, before the next layer's
 
-    h_top = check_finite("lstm hidden state", x[-1].copy())  # a view would pin all of h
-    note_probs = softmax(matmul(h_top, params.w_note) + params.b_note)
-    dur_probs = softmax(matmul(h_top, params.w_dur) + params.b_dur)
+    h_top = x[-1].copy()  # a view would pin all of h
+    note_probs, dur_probs = heads(h_top, params)
     cache = ForwardCache(train=train, dropout=drop, note_ids=note_ids, dur_ids=dur_ids,
                          layers=layers, h_final=h_top, note_probs=note_probs,
                          dur_probs=dur_probs)
     return note_probs, dur_probs, cache
+
+
+def heads(h_top: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Note and duration softmax rows for top-layer hidden states (B, H)."""
+    check_finite("lstm hidden state", h_top)
+    return (softmax(matmul(h_top, params.w_note) + params.b_note),
+            softmax(matmul(h_top, params.w_dur) + params.b_dur))
+
+
+def step_rows(params: ModelParams, h: list[np.ndarray], c: list[np.ndarray],
+              note_id: int, dur_id: int) -> None:
+    """Advance a batch of windows that all consume the token (note_id,
+    dur_id) by one step. ``h[k]`` and ``c[k]`` are layer k's (rows, H)
+    states and are replaced by the new ones. Per row this is the step
+    ``model_forward`` takes, up to the rounding of the batched products."""
+    nv = params.w_note.shape[1]
+    x = None
+    for k, layer in enumerate(params.layers):
+        H = layer.hidden_size
+        if x is None:  # layer 0: one gathered input row, shared by all rows
+            a = matmul(h[k], layer.w[:H])
+            a += layer.w[H + note_id] + layer.w[H + nv + dur_id] + layer.b[0]
+        else:
+            a = matmul(np.hstack([h[k], x]), layer.w)
+            a += layer.b
+        h[k], c[k] = cell_forward(a, c[k])
+        x = h[k]
 
 
 def model_backward(cache: ForwardCache, note_targets: np.ndarray,

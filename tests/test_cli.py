@@ -157,6 +157,24 @@ class TestGenerate:
             songs.append((out / "out_000.mid").read_bytes())
         assert songs[0] == songs[1]
 
+    def test_manifest_lists_song_stats(self, pipeline):
+        out = pipeline / "gen"
+        assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                     "--corpus", str(pipeline / "corpus.txt"), "--out", str(out),
+                     "--count", "2", "--length", "30", "--mode", "argmax",
+                     "--repeat-cap", "2", "--tokens"]) == 0
+        songs = json.loads((out / "generate_manifest.json").read_text())["songs"]
+        assert [s["file"] for s in songs] == ["out_000.mid", "out_001.mid"]
+        for song in songs:
+            notes = [t.rpartition(":")[0] for t in
+                     (out / song["file"]).with_suffix(".tokens").read_text().split()]
+            runs = [1]
+            for a, b in zip(notes, notes[1:]):
+                runs.append(runs[-1] + 1 if a == b else 1)
+            assert song["longest_run"] == max(runs) <= 2
+            assert song["distinct_note_ratio"] == len(set(notes)) / 30
+            assert song["guard_triggers"] >= song["guard_saturations"] == 0
+
     def test_count_below_one_is_usage_error(self, pipeline):
         assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
                      "--corpus", str(pipeline / "corpus.txt"), "--out", str(pipeline / "g"),
@@ -279,10 +297,25 @@ class TestVariants:
                                                           gen / "generate_manifest.json")]
         assert manifests[0]["seed_window"] == \
             {k: v for k, v in manifests[1]["seed_window"].items() if k != "source"}
+        stats = [[{k: v for k, v in song.items() if k != "file"} for song in songs]
+                 for songs in (manifests[0]["variants"]["a"]["songs"], manifests[1]["songs"])]
+        assert stats[0] == stats[1]
 
     def test_count_below_one_is_usage_error(self, pipeline):
         out = pipeline / "var"
         assert self.variants(pipeline, out, "--count", "0", "--variant", "a:") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["length", "temperature", "mode", "repeat_cap", "count"])
+    def test_generation_key_in_override_is_usage_error(self, pipeline, key):
+        out = pipeline / "var"
+        assert self.variants(pipeline, out, "--variant", f"a:{key}={SETTINGS[key]}") == 1
+        assert not out.exists()
+
+    def test_duplicate_variant_name_is_usage_error(self, pipeline):
+        out = pipeline / "var"
+        assert self.variants(pipeline, out, "--variant", "a:lr=0.001",
+                             "--variant", "a:lr=0.1") == 1
         assert not out.exists()
 
     def test_no_variant_flag_is_usage_error(self, pipeline):

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from conftest import looped_song, song_dataset
+from midilstm import generator
 from midilstm.errors import BadToken, CorpusTooShort, OovSeedToken
-from midilstm.generator import GenConfig, emit, generate, pick_seed
-from midilstm.lstm import ModelConfig, ModelParams
+from midilstm.generator import GenConfig, GenResult, emit, generate, pick_seed
+from midilstm.lstm import ModelConfig, ModelParams, heads, model_forward
 from midilstm.numerics import Rng
 from midilstm.score import NoteEvent
 
@@ -105,6 +107,35 @@ class TestGenerate:
             GenConfig(mode="beam").validate()
 
 
+class TestWavefront:
+    @pytest.mark.parametrize("length", [4, 10, 23])  # below, at and above the window
+    def test_head_rows_match_model_forward_on_each_window(self, monkeypatch, length):
+        params, config, nv, dv, sn, sd, _ = setup_model(hidden=(16, 12))
+        rows = []
+
+        def recorded(h_top, params):
+            rows.append(heads(h_top, params))
+            return rows[-1]
+
+        monkeypatch.setattr(generator, "heads", recorded)
+        result = generate(params, config, nv, dv, sn, sd, GenConfig(length=length), Rng(12))
+        notes = [nv.encode(t) for t in sn + result.notes]
+        durs = [dv.encode(d) for d in sd + result.durs]
+        L = len(sn)
+        assert len(rows) == length
+        for u, got in enumerate(rows):  # the window of token u + L
+            want = model_forward(np.array(notes[u:u + L]), np.array(durs[u:u + L]),
+                                 params, config)[:2]
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    def test_stats(self):
+        result = GenResult(["60", "60", "62", "60", "60", "60"], [3] * 6,
+                           guard_saturations=1, guard_triggers=2)
+        assert result.stats() == {"guard_triggers": 2, "guard_saturations": 1,
+                                  "longest_run": 3, "distinct_note_ratio": 2 / 6}
+
+
 def longest_run(tokens):
     best = cur = 1
     for a, b in zip(tokens, tokens[1:]):
@@ -120,6 +151,7 @@ class TestRepetitionGuard:
         result = generate(params, config, nv, dv, sn, sd,
                           GenConfig(length=60, mode="argmax", repeat_cap=2), Rng(7))
         assert result.guard_saturations == 0
+        assert result.guard_triggers > 0
         assert longest_run(result.notes) <= 2
         assert result.notes.count(nv.decode(0)) > 0
 
@@ -145,6 +177,7 @@ class TestRepetitionGuard:
         result = generate(params, config, nv, dv, sn, sd,
                           GenConfig(length=20, mode="argmax", repeat_cap=4), Rng(10))
         assert result.guard_saturations > 0
+        assert result.guard_triggers == result.guard_saturations
         assert longest_run(result.notes) == 20
 
     def test_unrigged_model_rarely_triggers(self):

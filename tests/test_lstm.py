@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from midilstm.lstm import (
     ModelParams,
     cell_forward,
     grad_check,
+    heads,
     model_backward,
     model_forward,
     reference_check_config,
@@ -39,6 +42,30 @@ def random_inputs(config: ModelConfig, rng: Rng, batch: int = 1):
     note_t = np.array([rng.randint(config.note_vocab_size) for _ in range(batch)])
     dur_t = np.array([rng.randint(config.dur_vocab_size) for _ in range(batch)])
     return note, dur, note_t, dur_t
+
+
+def full_buffer_infer(note, dur, params, config):
+    """The infer pass as it was before it kept only one layer alive: whole
+    window gathers, and full h and c buffers for every layer."""
+    nv = config.note_vocab_size
+    B, L = note.shape
+    x = None
+    for layer in params.layers:
+        H = layer.hidden_size
+        w_h, w_x = layer.w[:H], layer.w[H:]
+        if x is None:
+            acts = w_x[note.T]
+            acts += w_x[nv + dur.T]
+        else:
+            acts = (x.reshape(L * B, -1) @ w_x).reshape(L, B, 4 * H)
+        acts += layer.b
+        h, c = np.zeros((L + 1, B, H)), np.zeros((L + 1, B, H))
+        for t in range(L):
+            if t:
+                acts[t] += h[t] @ w_h
+            h[t + 1], c[t + 1] = cell_forward(acts[t], c[t])
+        x = h[1:]
+    return heads(x[-1].copy(), params)
 
 
 class TestCellForward:
@@ -109,6 +136,32 @@ class TestModelForward:
         infer_out = model_forward(note, dur, params, config)
         assert np.array_equal(train_out[0], infer_out[0])
         assert np.array_equal(train_out[1], infer_out[1])
+
+    def test_infer_equals_full_buffer_pass_bitwise(self):
+        rng = Rng(59)
+        config = small_config(hidden_sizes=(8, 12, 8), window_len=7)
+        params = ModelParams.init(config, rng)
+        note, dur, _, _ = random_inputs(config, rng, batch=16)
+        got = model_forward(note, dur, params, config)
+        for g, w in zip(got, full_buffer_infer(note, dur, params, config)):
+            assert np.array_equal(g, w)
+
+    def test_infer_peak_memory_is_one_layer(self):
+        L, B, H = 20, 64, 64
+        config = small_config(note_vocab_size=30, dur_vocab_size=10, hidden_sizes=(H, H, H),
+                              window_len=L)
+        params = ModelParams.init(config, Rng(61))
+        note, dur, _, _ = random_inputs(config, Rng(62), batch=B)
+        tracemalloc.start()
+        try:
+            model_forward(note, dur, params, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one layer's (L, B, 4H) pre-activations and (L+1, B, H) hidden
+        # states, plus a few per-step (B, H) arrays; keeping every layer's c
+        # and a second whole-window gather took about twice this
+        assert peak <= 8 * B * H * (4 * L + (L + 1) + 8)
 
     def test_dropout_changes_train_output(self):
         rng = Rng(53)
