@@ -14,7 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +29,7 @@ from .corpus import (
     save_corpus,
     tokenize,
 )
-from .errors import CorpusTooShort, DataError, NoUsableFiles, VocabMismatch
+from .errors import CorpusTooShort, DataError, NoUsableFiles, UsageError, VocabMismatch
 from .generator import GenConfig, emit, generate, pick_seed
 from .lstm import ModelConfig, grad_check, reference_check_config
 from .midi_io import events_equivalent, parse_midi, write_midi
@@ -43,11 +43,6 @@ EXIT_DATA = 2
 EXIT_CHECK = 3
 
 MIDI_SUFFIXES = (".mid", ".midi")
-
-
-class UsageError(ValueError):
-    """Bad flags, config keys, or values. Subclasses ValueError so argparse
-    turns it into a normal usage failure when raised from a type= parser."""
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -108,7 +103,7 @@ def _parse_setting(text: str, where: str) -> tuple[str, object]:
 def load_config_file(path) -> dict:
     """Flat ``key = value`` file; '#' starts a comment."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_lines(path), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             key, value = _parse_setting(line, f"{path}:{lineno}")
@@ -224,8 +219,10 @@ def _train_config_from(cfg: dict, corpus: CorpusFile, note_vocab, dur_vocab,
         dropout=cfg["dropout"],
         window_len=corpus.window_len,
     )
-    return TrainConfig(model=model, seed=seed,
-                       **{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
+    config = TrainConfig(model=model, seed=seed,
+                         **{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
+    config.validate()
+    return config
 
 
 _TRAIN_DEFAULTS = {
@@ -316,7 +313,7 @@ def _resolve_seed_window(args, corpus: CorpusFile, dataset, seed: int):
     return *_window_tokens(corpus, window), window
 
 
-def _write_songs(out_dir: Path, stem: str, params, model_config, note_vocab, dur_vocab,
+def _write_songs(out_dir: Path, stem: str, params, note_vocab, dur_vocab,
                  seed_notes, seed_durs, grid: int, gen_config: GenConfig, count: int,
                  seed: int, tokens: bool = False) -> tuple[list[Path], list[dict]]:
     """Generate ``count`` songs from one seed window into
@@ -328,8 +325,7 @@ def _write_songs(out_dir: Path, stem: str, params, model_config, note_vocab, dur
     saturations = 0
     for i in range(count):
         rng = Rng(derive_seed(seed, f"sampling.{i}"))
-        result = generate(params, model_config, note_vocab, dur_vocab,
-                          seed_notes, seed_durs, gen_config, rng)
+        result = generate(params, note_vocab, dur_vocab, seed_notes, seed_durs, gen_config, rng)
         saturations += result.guard_saturations
         piece = emit(result.notes, result.durs, grid)
         path = out_dir / f"{stem}_{i:03d}.mid"
@@ -361,9 +357,9 @@ def cmd_generate(args) -> int:
     ckpt, corpus, dataset = _load_model_and_corpus(args)
     seed_notes, seed_durs, window_info = _resolve_seed_window(args, corpus, dataset, args.seed)
     out = _out_dir(args)
-    files, songs = _write_songs(out, "out", ckpt.params, ckpt.config.model, ckpt.note_vocab,
-                                ckpt.dur_vocab, seed_notes, seed_durs, corpus.grid,
-                                gen_config, cfg["count"], args.seed, args.tokens)
+    files, songs = _write_songs(out, "out", ckpt.params, ckpt.note_vocab, ckpt.dur_vocab,
+                                seed_notes, seed_durs, corpus.grid, gen_config, cfg["count"],
+                                args.seed, args.tokens)
     for path in files:
         if path.suffix == ".mid":
             print(f"wrote {path} ({gen_config.length} events)")
@@ -418,12 +414,12 @@ def cmd_variants(args) -> int:
         vdir = out / name
         vdir.mkdir(parents=True, exist_ok=True)
         result = train(dataset, train_config, note_vocab, dur_vocab, out_dir=vdir)
-        files, songs = _write_songs(vdir, "song", result.params, train_config.model, note_vocab,
-                                    dur_vocab, seed_notes, seed_durs, corpus.grid,
-                                    gen_config, cfg["count"], args.seed)
+        files, songs = _write_songs(vdir, "song", result.params, note_vocab, dur_vocab,
+                                    seed_notes, seed_durs, corpus.grid, gen_config,
+                                    cfg["count"], args.seed)
         write_metrics(vdir / "metrics.csv", result.metrics)
         entries[name] = {
-            "config": train_config.to_dict(),
+            "config": asdict(train_config),
             "seed_window": window,
             "files": [f"{name}/{path.name}" for path in files],
             "songs": songs,
@@ -443,10 +439,7 @@ def cmd_variants(args) -> int:
 def cmd_gradcheck(args) -> int:
     config = reference_check_config()
     if args.hidden:
-        config = ModelConfig(note_vocab_size=config.note_vocab_size,
-                             dur_vocab_size=config.dur_vocab_size,
-                             hidden_sizes=args.hidden, dropout=0.0,
-                             window_len=config.window_len)
+        config = replace(config, hidden_sizes=args.hidden)
     report = grad_check(config, Rng(derive_seed(args.seed, "init")),
                         tolerance=args.tolerance)
     status = "PASS" if report.passed else "FAIL"
@@ -550,10 +543,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # UsageError and bad config values
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DataError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadCorpusFile, BadToken, EmptyCorpus, IndexOutOfRange
+from .errors import BadCorpusFile, BadToken, IndexOutOfRange
 from .score import Piece
 
 REST_TOKEN = "R"
@@ -93,7 +93,7 @@ def build_vocab(tokens) -> Vocabulary:
     """Vocabulary over a flat iterable of tokens."""
     seen = set(tokens)
     if not seen:
-        raise EmptyCorpus("no tokens to build a vocabulary from")
+        raise BadCorpusFile("no tokens to build a vocabulary from")
     return Vocabulary(seen)
 
 
@@ -104,10 +104,6 @@ class Dataset:
     window_len: int
     note_ids: list[np.ndarray]
     dur_ids: list[np.ndarray]
-
-    @property
-    def n_songs(self) -> int:
-        return len(self.note_ids)
 
 
 def make_windows(dataset: Dataset) -> tuple[list[tuple[int, int]], int]:

@@ -1,9 +1,15 @@
 """Exception hierarchy shared across the toolkit.
 
 Every data-level failure raises a subclass of ``DataError`` so the CLI can
-map them to a single exit code; check-style failures (gradient check,
-round-trip verification) are reported through return values instead.
+map them to a single exit code, and every bad flag, config key or value
+raises ``UsageError``; check-style failures (gradient check, round-trip
+verification) are reported through return values instead.
 """
+
+
+class UsageError(ValueError):
+    """Bad flags, config keys, or values. Subclasses ValueError so argparse
+    turns it into a normal usage failure when raised from a type= parser."""
 
 
 class DataError(Exception):
@@ -16,15 +22,7 @@ class MidiError(DataError):
     """Base class for Standard MIDI File read/write errors."""
 
 
-class EmptyStream(MidiError):
-    pass
-
-
 class UnterminatedVlq(MidiError):
-    pass
-
-
-class ValueOutOfRange(MidiError):
     pass
 
 
@@ -55,10 +53,6 @@ class NoNotes(DataError):
 
 
 # --- corpus / tokens ---
-
-class EmptyCorpus(DataError):
-    pass
-
 
 class BadToken(DataError):
     pass
@@ -101,10 +95,6 @@ class TrainingDiverged(DataError):
 
 
 class CorpusTooShort(DataError):
-    pass
-
-
-class OovSeedToken(DataError):
     pass
 
 

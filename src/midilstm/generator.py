@@ -23,13 +23,14 @@ guard saturation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Dataset, Vocabulary, parse_note_token
-from .errors import BadToken, CorpusTooShort, OovSeedToken
-from .lstm import ModelConfig, ModelParams, heads, step_rows
+from .errors import BadToken, CorpusTooShort, UsageError
+from .lstm import ModelParams, heads, step_rows
 from .numerics import Rng, softmax
 from .score import DEFAULT_TEMPO, NoteEvent, Piece
 
@@ -45,13 +46,13 @@ class GenConfig:
 
     def validate(self) -> None:
         if self.length < 1:
-            raise ValueError(f"length {self.length} must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature {self.temperature} must be > 0")
+            raise UsageError(f"length {self.length} must be >= 1")
+        if not 0 < self.temperature < math.inf:  # also rejects NaN
+            raise UsageError(f"temperature {self.temperature} must be finite and > 0")
         if self.mode not in ("sample", "argmax"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise UsageError(f"unknown mode {self.mode!r}")
         if self.repeat_cap < 0:
-            raise ValueError(f"repeat_cap {self.repeat_cap} must be >= 0")
+            raise UsageError(f"repeat_cap {self.repeat_cap} must be >= 0")
 
 
 def pick_seed(dataset: Dataset, rng: Rng) -> tuple[int, int]:
@@ -67,15 +68,6 @@ def pick_seed(dataset: Dataset, rng: Rng) -> tuple[int, int]:
             return song, pick
         pick -= count
     raise AssertionError("unreachable")
-
-
-def _encode_seed(tokens, vocab: Vocabulary, what: str) -> list[int]:
-    ids = []
-    for tok in tokens:
-        if tok not in vocab:
-            raise OovSeedToken(f"seed {what} token {tok!r} not in vocabulary")
-        ids.append(vocab.encode(tok))
-    return ids
 
 
 def _tempered(probs: np.ndarray, temperature: float) -> np.ndarray:
@@ -119,17 +111,16 @@ def _open_row(states: list[np.ndarray]) -> list[np.ndarray]:
     return [np.concatenate([s, np.zeros((1, s.shape[1]))]) for s in states]
 
 
-def generate(params: ModelParams, model_config: ModelConfig,
-             note_vocab: Vocabulary, dur_vocab: Vocabulary,
+def generate(params: ModelParams, note_vocab: Vocabulary, dur_vocab: Vocabulary,
              seed_notes, seed_durs, config: GenConfig, rng: Rng) -> GenResult:
     """Generate exactly ``config.length`` (note, duration) pairs from a seed
     window, sliding the context by one token per step (see the module
     docstring for how the windows are batched)."""
     config.validate()
     if len(seed_notes) != len(seed_durs) or not seed_notes:
-        raise OovSeedToken("seed streams must be equal-length and non-empty")
-    note_ids = _encode_seed(seed_notes, note_vocab, "note")
-    dur_ids = _encode_seed(seed_durs, dur_vocab, "duration")
+        raise BadToken("seed streams must be equal-length and non-empty")
+    note_ids = [note_vocab.encode(tok) for tok in seed_notes]
+    dur_ids = [dur_vocab.encode(tok) for tok in seed_durs]
     L, n = len(note_ids), config.length
 
     out_notes: list[str] = []

@@ -45,8 +45,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IndexOutOfRange, ShapeMismatch, StaleCache
-from .numerics import Rng, check_finite, matmul, sigmoid, softmax, xavier_init, zeros
+from .errors import IndexOutOfRange, ShapeMismatch, StaleCache, UsageError
+from .numerics import Rng, matmul, sigmoid, softmax, xavier_init, zeros
 
 GATES = ("forget", "input", "cand", "output")  # checkpoint and init order
 COLUMNS = ("forget", "input", "output", "cand")  # gate blocks along w's columns
@@ -67,13 +67,13 @@ class ModelConfig:
 
     def validate(self) -> None:
         if self.note_vocab_size < 1 or self.dur_vocab_size < 1:
-            raise ShapeMismatch("vocabulary sizes must be positive")
+            raise UsageError("vocabulary sizes must be positive")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ShapeMismatch(f"bad hidden sizes {self.hidden_sizes}")
+            raise UsageError(f"bad hidden sizes {self.hidden_sizes}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ShapeMismatch(f"dropout {self.dropout} outside [0, 1)")
+            raise UsageError(f"dropout {self.dropout} outside [0, 1)")
         if self.window_len < 1:
-            raise ShapeMismatch(f"window_len {self.window_len} must be >= 1")
+            raise UsageError(f"window_len {self.window_len} must be >= 1")
 
 
 @dataclass
@@ -267,7 +267,6 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
 
 def heads(h_top: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Note and duration softmax rows for top-layer hidden states (B, H)."""
-    check_finite("lstm hidden state", h_top)
     return (softmax(matmul(h_top, params.w_note) + params.b_note),
             softmax(matmul(h_top, params.w_dur) + params.b_dur))
 

@@ -19,12 +19,10 @@ from dataclasses import dataclass, field
 from .errors import (
     BadEvent,
     BadHeader,
-    EmptyStream,
     InvariantViolation,
     TruncatedChunk,
     UnsupportedFormat,
     UnterminatedVlq,
-    ValueOutOfRange,
 )
 
 VLQ_MAX = (1 << 28) - 1
@@ -36,23 +34,14 @@ DIVISION_MAX = 32767
 
 def decode_vlq(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode one VLQ starting at ``offset``. Returns (value, bytes consumed)."""
-    if offset >= len(data):
-        raise EmptyStream("no bytes available for VLQ")
-    value = 0
-    for i in range(4):
-        if offset + i >= len(data):
-            raise UnterminatedVlq("stream ended inside VLQ")
-        b = data[offset + i]
-        value = (value << 7) | (b & 0x7F)
-        if not b & 0x80:
-            return value, i + 1
-    raise UnterminatedVlq("more than 4 continuation bytes in VLQ")
+    r = _Reader(data, offset)
+    return r.vlq(), r.pos - offset
 
 
 def encode_vlq(value: int) -> bytes:
     """Minimal-length VLQ encoding of ``value`` (inverse of decode_vlq)."""
     if not 0 <= value <= VLQ_MAX:
-        raise ValueOutOfRange(f"VLQ value {value} outside [0, {VLQ_MAX}]")
+        raise InvariantViolation(f"VLQ value {value} outside [0, {VLQ_MAX}]")
     out = bytearray([value & 0x7F])
     value >>= 7
     while value:
@@ -153,9 +142,8 @@ class _Reader:
         return out
 
     def vlq(self) -> int:
-        # same logic as decode_vlq, against this window, without slicing
         if self.pos >= self.end:
-            raise EmptyStream("no bytes available for VLQ")
+            raise TruncatedChunk("no bytes available for VLQ")
         value = 0
         for _ in range(4):
             if self.pos >= self.end:

@@ -41,10 +41,6 @@ class NoteEvent:
     pitches: tuple[int, ...]
 
     @property
-    def is_rest(self) -> bool:
-        return not self.pitches
-
-    @property
     def end(self) -> int:
         return self.onset + self.duration
 

@@ -9,20 +9,27 @@ byte-identical checkpoints.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .corpus import Dataset, Vocabulary, make_windows
-from .errors import BadCheckpoint, DataError, EmptyDataset, TrainingDiverged, VocabMismatch
+from .errors import (
+    BadCheckpoint,
+    DataError,
+    EmptyDataset,
+    TrainingDiverged,
+    UsageError,
+    VocabMismatch,
+)
 from .lstm import ModelConfig, ModelParams, model_backward, model_forward
 from .numerics import (
     CE_FLOOR,
     AdamState,
     Rng,
     adam_step,
-    check_finite,
     derive_seed,
     global_norm,
 )
@@ -45,19 +52,19 @@ class TrainConfig:
 
     def validate(self) -> None:
         self.model.validate()
-        if self.epochs < 0 or self.batch_size < 1 or self.lr < 0:
-            raise ValueError("epochs, batch_size, lr must be non-negative/positive")
+        if self.epochs < 0 or self.batch_size < 1 or not 0 <= self.lr < math.inf:
+            raise UsageError("epochs, batch_size, lr must be non-negative/positive and finite")
+        if not math.isfinite(self.clip_norm):
+            raise UsageError(f"clip_norm {self.clip_norm} must be finite")
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise UsageError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.holdout < 1.0:
-            raise ValueError(f"holdout {self.holdout} outside [0, 1)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+            raise UsageError(f"holdout {self.holdout} outside [0, 1)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Inverse of ``to_dict``; a missing or unknown key raises KeyError."""
+        """Inverse of ``dataclasses.asdict``; a missing or unknown key raises
+        KeyError."""
         model = _from_fields(ModelConfig, {**d["model"],
                                            "hidden_sizes": tuple(d["model"]["hidden_sizes"])})
         return _from_fields(cls, {**d, "model": model})
@@ -218,7 +225,6 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
                     arr[...] = adam_step(arr, grads[name], opt_state[name], config.lr)
                 else:
                     arr -= config.lr * grads[name]
-                check_finite(name, arr)
 
         metrics.append(MetricsRow.from_totals(epoch, totals, len(order)))
         mean_loss = metrics[-1].loss
@@ -271,7 +277,7 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig,
                     note_vocab: Vocabulary, dur_vocab: Vocabulary,
                     epoch: int, final_loss: float) -> None:
     header = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "note_vocab": list(note_vocab.tokens),
         "dur_vocab": list(dur_vocab.tokens),
         "epoch": epoch,
@@ -354,6 +360,8 @@ def load_checkpoint(path) -> Checkpoint:
         if arrays[name].shape != arr.shape:
             raise BadCheckpoint(f"parameter {name!r} has shape {arrays[name].shape}, "
                                 f"expected {arr.shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise BadCheckpoint(f"parameter {name!r} holds NaN or infinite values")
         arr[...] = arrays[name]
 
     return Checkpoint(config=config, params=params, note_vocab=note_vocab,

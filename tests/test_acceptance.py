@@ -89,7 +89,7 @@ def test_criterion_3_generation_protocol():
     seed_durs = corpus.songs[song][1][offset:offset + 50]
     assert len(seed_notes) == 50
 
-    result = generate(params, config, note_vocab, dur_vocab, seed_notes, seed_durs,
+    result = generate(params, note_vocab, dur_vocab, seed_notes, seed_durs,
                       GenConfig(length=500, mode="sample"), Rng(7))
     pairs_ok = len(result.notes) == 500 and len(result.durs) == 500
 
@@ -164,9 +164,9 @@ def test_criterion_6_repetition_guard():
             best = max(best, cur)
         return best
 
-    guarded = generate(params, config, note_vocab, dur_vocab, seed_notes, seed_durs,
+    guarded = generate(params, note_vocab, dur_vocab, seed_notes, seed_durs,
                        GenConfig(length=500, mode="argmax", repeat_cap=8), Rng(9))
-    unguarded = generate(params, config, note_vocab, dur_vocab, seed_notes, seed_durs,
+    unguarded = generate(params, note_vocab, dur_vocab, seed_notes, seed_durs,
                          GenConfig(length=500, mode="argmax", repeat_cap=0), Rng(9))
     report(6, "repeat cap 8 bounds runs; cap 0 reproduces the collapse",
            longest_run(guarded.notes) <= 8 and guarded.guard_saturations == 0

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +8,9 @@ from midilstm import cli
 from midilstm.cli import build_parser, main
 from midilstm.corpus import load_corpus
 from midilstm.midi_io import parse_midi
+from midilstm.numerics import Rng
 from midilstm.score import events_to_piece
+from midilstm.trainer import load_checkpoint, save_checkpoint
 
 TRAIN_FLAGS = ["--epochs", "2", "--hidden", "16", "--batch-size", "8",
                "--dropout", "0", "--checkpoint-every", "0"]
@@ -30,6 +34,16 @@ def pipeline(tmp_path, midi_dir):
     assert main(["train", "--corpus", str(run / "corpus.txt"), "--out", str(run),
                  "--seed", "7", *TRAIN_FLAGS]) == 0
     return run
+
+
+def non_finite_checkpoint(run, value):
+    """The pipeline's checkpoint with one parameter set to ``value``."""
+    ckpt = load_checkpoint(run / "checkpoint.bin")
+    ckpt.params.w_dur[0, 0] = value
+    path = run / "non_finite.bin"
+    save_checkpoint(path, ckpt.params, ckpt.config, ckpt.note_vocab, ckpt.dur_vocab,
+                    ckpt.epoch, ckpt.final_loss)
+    return path
 
 
 class TestIngest:
@@ -91,6 +105,11 @@ class TestTrain:
         assert main(["train", "--corpus", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_directory_as_corpus_or_config_is_data_error(self, pipeline, tmp_path):
+        assert main(["train", "--corpus", str(pipeline), "--out", str(tmp_path)]) == 2
+        assert main(["train", "--corpus", str(pipeline / "corpus.txt"), "--out", str(tmp_path),
+                     "--config", str(pipeline)]) == 2
+
     def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_bytes(b"#grid=12 L=10 max_dur=48\n60:3 \xff\xfe:3\n")
@@ -116,6 +135,13 @@ class TestTrain:
         assert manifest["config"]["epochs"] == 2  # flag beats file
         assert manifest["config"]["hidden"] == [8]  # file beats default
         assert len((run / "metrics.csv").read_text().splitlines()) == 3
+
+    def test_non_utf8_config_is_data_error(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"lr = 0.01\nhidden = \xff\n")
+        assert main(["train", "--corpus", str(pipeline / "corpus.txt"),
+                     "--out", str(tmp_path / "t"), "--config", str(cfg)]) == 2
+        assert "BadCorpusFile" in capsys.readouterr().err
 
     def test_unknown_config_key_is_usage_error(self, pipeline, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -233,6 +259,14 @@ class TestGenerate:
         assert len(tokens) == 12
         assert all(":" in t for t in tokens)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_checkpoint_is_data_error(self, pipeline, value, capsys):
+        out = pipeline / "gen"
+        assert main(["generate", "--checkpoint", str(non_finite_checkpoint(pipeline, value)),
+                     "--corpus", str(pipeline / "corpus.txt"), "--out", str(out)]) == 2
+        assert "BadCheckpoint" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vocab_mismatch_is_data_error(self, pipeline, tmp_path):
         other = tmp_path / "other.txt"
         other.write_text("#grid=12 L=10 max_dur=48\n60:3 61:3 62:3\n")
@@ -247,6 +281,14 @@ class TestEval:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "epoch,loss,note_acc,dur_acc,note_ppl"
         assert out[1].startswith("2,")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_checkpoint_is_data_error(self, pipeline, value, capsys):
+        assert main(["eval", "--checkpoint", str(non_finite_checkpoint(pipeline, value)),
+                     "--corpus", str(pipeline / "corpus.txt")]) == 2
+        captured = capsys.readouterr()
+        assert "BadCheckpoint" in captured.err
+        assert captured.out == ""
 
 
 class TestVariants:
@@ -371,8 +413,12 @@ class TestUsage:
         assert exc.value.code == 1
 
     def test_bad_numeric_value_is_usage_error(self, pipeline):
-        assert main(["train", "--corpus", str(pipeline / "corpus.txt"),
-                     "--out", str(pipeline), "--epochs", "-1"]) == 1
+        out = pipeline / "t"
+        for flag, value in [("--epochs", "-1"), ("--lr", "nan"), ("--lr", "inf"),
+                            ("--clip-norm", "nan"), ("--dropout", "1.0")]:
+            assert main(["train", "--corpus", str(pipeline / "corpus.txt"), "--out", str(out),
+                         *TRAIN_FLAGS, flag, value]) == 1, (flag, value)
+        assert not out.exists()  # no checkpoint
 
     @pytest.mark.parametrize("command, required, defaults", [
         ("ingest", ["--midi-dir", "d"], cli._INGEST_DEFAULTS),
@@ -400,6 +446,75 @@ class TestUsage:
         assert not (pipeline / "var").exists()  # rejected before any training
 
     def test_bad_temperature_is_usage_error(self, pipeline):
-        assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
-                     "--corpus", str(pipeline / "corpus.txt"),
-                     "--out", str(pipeline / "g"), "--temperature", "0"]) == 1
+        for value in ("0", "nan", "inf"):
+            assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                         "--corpus", str(pipeline / "corpus.txt"),
+                         "--out", str(pipeline / "g"), "--temperature", value]) == 1, value
+        assert not (pipeline / "g").exists()  # no song
+
+    def test_value_error_inside_a_command_propagates(self, pipeline, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "evaluate", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["eval", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                  "--corpus", str(pipeline / "corpus.txt")])
+
+
+def test_no_module_reads_the_environment():
+    # every behaviour must be set by flags or config, which the manifest
+    # records, so a run stays reproducible from its manifest
+    package = Path(cli.__file__).parent
+    readers = [f"{path.name}:{lineno}: {line.strip()}"
+               for path in sorted(package.glob("*.py"))
+               for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+               if re.search(r"environ|getenv", line)]
+    assert readers == []
+
+
+class TestFuzz:
+    """Seeded single-byte mutants of each text input, run through ``main``
+    as in the MIDI and checkpoint fuzz tests. Every mutant ends in success
+    or a typed data error, or for a config file also in a usage error;
+    no exception escapes."""
+
+    def run_mutants(self, golden: bytes, path, argv, seed: int) -> set[int]:
+        rng = Rng(seed)
+        codes = set()
+        for _ in range(200):
+            data = bytearray(golden)
+            data[rng.randint(len(data))] = rng.randint(256)
+            path.write_bytes(bytes(data))
+            code = main(argv)
+            codes.add(code)
+            assert code in (0, 1, 2), bytes(data)
+        return codes
+
+    def test_mutated_corpus(self, pipeline, tmp_path):
+        path = tmp_path / "corpus.txt"
+        codes = self.run_mutants((pipeline / "corpus.txt").read_bytes(), path,
+                                 ["train", "--corpus", str(path), "--out", str(tmp_path / "o"),
+                                  "--epochs", "0", "--hidden", "4"], seed=1)
+        assert codes == {0, 2}
+
+    def test_mutated_seed_file(self, pipeline, tmp_path):
+        path = tmp_path / "seed.txt"
+        song = (pipeline / "corpus.txt").read_text().splitlines()[1]
+        codes = self.run_mutants(song.encode() + b"\n", path,
+                                 ["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                                  "--corpus", str(pipeline / "corpus.txt"), "--seed-file",
+                                  str(path), "--length", "2", "--out", str(tmp_path / "o")],
+                                 seed=2)
+        assert codes == {0, 2}
+
+    def test_mutated_config_file(self, pipeline, tmp_path):
+        path = tmp_path / "train.cfg"
+        golden = (b"# every training key but epochs\nbatch_size = 8\nlr = 0.01\n"
+                  b"optimizer = sgd\nclip_norm = 2.5\ncheckpoint_every = 1\n"
+                  b"holdout = 0.25\nhidden = 4,4\ndropout = 0.1\nwindow_len = 10\ngrid = 12\n")
+        codes = self.run_mutants(golden, path,
+                                 ["train", "--corpus", str(pipeline / "corpus.txt"),
+                                  "--config", str(path), "--epochs", "0",
+                                  "--out", str(tmp_path / "o")], seed=3)
+        assert codes == {0, 1, 2}

@@ -12,7 +12,7 @@ from midilstm.corpus import (
     save_corpus,
     tokenize,
 )
-from midilstm.errors import BadCorpusFile, BadToken, EmptyCorpus, IndexOutOfRange
+from midilstm.errors import BadCorpusFile, BadToken, IndexOutOfRange
 from midilstm.score import NoteEvent, Piece
 
 
@@ -54,7 +54,7 @@ class TestVocabulary:
         assert vocab.tokens == (6, 12)
 
     def test_empty(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(BadCorpusFile):
             build_vocab([])
 
     def test_decode_encode_identity(self):
@@ -184,5 +184,5 @@ class TestCorpusFile:
         assert nv.tokens == ("60", "62", "R")
         assert dv.tokens == (3, 6, 12)
         ds = corpus.to_dataset(nv, dv)
-        assert ds.n_songs == 2
+        assert len(ds.note_ids) == 2
         assert ds.window_len == 2

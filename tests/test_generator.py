@@ -3,7 +3,7 @@ import pytest
 
 from conftest import looped_song, song_dataset
 from midilstm import generator
-from midilstm.errors import BadToken, CorpusTooShort, OovSeedToken
+from midilstm.errors import BadToken, CorpusTooShort
 from midilstm.generator import GenConfig, GenResult, emit, generate, pick_seed
 from midilstm.lstm import ModelConfig, ModelParams, heads, model_forward
 from midilstm.numerics import Rng
@@ -55,48 +55,48 @@ class TestPickSeed:
 class TestGenerate:
     def test_exact_output_length(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
-        result = generate(params, config, nv, dv, sn, sd, GenConfig(length=37), Rng(1))
+        result = generate(params, nv, dv, sn, sd, GenConfig(length=37), Rng(1))
         assert len(result.notes) == 37
         assert len(result.durs) == 37
 
     def test_every_token_in_vocabulary(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
-        result = generate(params, config, nv, dv, sn, sd, GenConfig(length=50), Rng(2))
+        result = generate(params, nv, dv, sn, sd, GenConfig(length=50), Rng(2))
         assert all(t in nv for t in result.notes)
         assert all(d in dv for d in result.durs)
 
     def test_deterministic(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
         cfg = GenConfig(length=30)
-        a = generate(params, config, nv, dv, sn, sd, cfg, Rng(3))
-        b = generate(params, config, nv, dv, sn, sd, cfg, Rng(3))
+        a = generate(params, nv, dv, sn, sd, cfg, Rng(3))
+        b = generate(params, nv, dv, sn, sd, cfg, Rng(3))
         assert a == b
 
     def test_argmax_ignores_temperature(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
-        outs = [generate(params, config, nv, dv, sn, sd,
+        outs = [generate(params, nv, dv, sn, sd,
                          GenConfig(length=25, mode="argmax", temperature=t), Rng(4))
                 for t in (0.01, 1.0, 50.0)]
         assert outs[0] == outs[1] == outs[2]
 
     def test_tiny_temperature_converges_to_argmax(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
-        cold = generate(params, config, nv, dv, sn, sd,
+        cold = generate(params, nv, dv, sn, sd,
                         GenConfig(length=30, mode="sample", temperature=1e-6), Rng(5))
-        greedy = generate(params, config, nv, dv, sn, sd,
+        greedy = generate(params, nv, dv, sn, sd,
                           GenConfig(length=30, mode="argmax"), Rng(5))
         assert cold.notes == greedy.notes
         assert cold.durs == greedy.durs
 
     def test_oov_seed_token(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
-        with pytest.raises(OovSeedToken):
-            generate(params, config, nv, dv, ["999"] + sn[1:], sd, GenConfig(length=5), Rng(6))
+        with pytest.raises(BadToken):
+            generate(params, nv, dv, ["999"] + sn[1:], sd, GenConfig(length=5), Rng(6))
 
     def test_mismatched_seed_streams(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
-        with pytest.raises(OovSeedToken):
-            generate(params, config, nv, dv, sn, sd[:-1], GenConfig(length=5), Rng(6))
+        with pytest.raises(BadToken):
+            generate(params, nv, dv, sn, sd[:-1], GenConfig(length=5), Rng(6))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ class TestWavefront:
             return rows[-1]
 
         monkeypatch.setattr(generator, "heads", recorded)
-        result = generate(params, config, nv, dv, sn, sd, GenConfig(length=length), Rng(12))
+        result = generate(params, nv, dv, sn, sd, GenConfig(length=length), Rng(12))
         notes = [nv.encode(t) for t in sn + result.notes]
         durs = [dv.encode(d) for d in sd + result.durs]
         L = len(sn)
@@ -148,7 +148,7 @@ class TestRepetitionGuard:
     def test_rigged_head_capped_at_two(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
         rig_note_head(params, note_id=0)
-        result = generate(params, config, nv, dv, sn, sd,
+        result = generate(params, nv, dv, sn, sd,
                           GenConfig(length=60, mode="argmax", repeat_cap=2), Rng(7))
         assert result.guard_saturations == 0
         assert result.guard_triggers > 0
@@ -158,14 +158,14 @@ class TestRepetitionGuard:
     def test_rigged_head_capped_in_sample_mode(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
         rig_note_head(params, note_id=1)
-        result = generate(params, config, nv, dv, sn, sd,
+        result = generate(params, nv, dv, sn, sd,
                           GenConfig(length=60, mode="sample", repeat_cap=3), Rng(8))
         assert longest_run(result.notes) <= 3
 
     def test_guard_disabled_lets_run_fill_output(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
         rig_note_head(params, note_id=0)
-        result = generate(params, config, nv, dv, sn, sd,
+        result = generate(params, nv, dv, sn, sd,
                           GenConfig(length=60, mode="argmax", repeat_cap=0), Rng(9))
         assert longest_run(result.notes) == 60
 
@@ -174,7 +174,7 @@ class TestRepetitionGuard:
         # so exclusion has nothing left to renormalize
         params, config, nv, dv, sn, sd, _ = setup_model()
         rig_note_head(params, note_id=0, bias=800.0)
-        result = generate(params, config, nv, dv, sn, sd,
+        result = generate(params, nv, dv, sn, sd,
                           GenConfig(length=20, mode="argmax", repeat_cap=4), Rng(10))
         assert result.guard_saturations > 0
         assert result.guard_triggers == result.guard_saturations
@@ -182,7 +182,7 @@ class TestRepetitionGuard:
 
     def test_unrigged_model_rarely_triggers(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
-        result = generate(params, config, nv, dv, sn, sd,
+        result = generate(params, nv, dv, sn, sd,
                           GenConfig(length=80, mode="sample", repeat_cap=8), Rng(11))
         assert result.guard_saturations == 0
         assert longest_run(result.notes) <= 8

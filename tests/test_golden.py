@@ -51,7 +51,7 @@ def golden_songs(checkpoint_path):
     ckpt = load_checkpoint(checkpoint_path)
     notes, durs = looped_song(3, n_tokens=60, period=11, n_pitches=5)
     L = ckpt.config.model.window_len
-    return [generate(ckpt.params, ckpt.config.model, ckpt.note_vocab, ckpt.dur_vocab,
+    return [generate(ckpt.params, ckpt.note_vocab, ckpt.dur_vocab,
                      notes[:L], durs[:L], gen_config, Rng(seed))
             for gen_config, seed in GOLDEN_SONGS]
 

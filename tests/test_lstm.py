@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from midilstm.errors import IndexOutOfRange, ShapeMismatch, StaleCache
+from midilstm.errors import IndexOutOfRange, ShapeMismatch, StaleCache, UsageError
 from midilstm.lstm import (
     LstmLayerParams,
     ModelConfig,
@@ -373,9 +373,9 @@ class TestParams:
         assert params.n_params() == 4 * (16 * 34 + 16) + 4 * (16 * 32 + 16) + 204 + 102
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(UsageError):
             ModelConfig(0, 4).validate()
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(UsageError):
             ModelConfig(4, 4, hidden_sizes=()).validate()
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(UsageError):
             ModelConfig(4, 4, dropout=1.0).validate()

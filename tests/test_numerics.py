@@ -84,10 +84,6 @@ class TestMatmul:
     def test_hand_case(self):
         assert matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]])).tolist() == [[11.0]]
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
     def test_associativity(self):
         rng = Rng(13)
         for _ in range(20):
@@ -230,15 +226,3 @@ class TestAdam:
 def test_global_norm():
     grads = [np.array([[3.0]]), np.array([[4.0]])]
     assert global_norm(grads) == pytest.approx(5.0)
-
-
-def test_debug_finite_guard(monkeypatch):
-    import midilstm.numerics as numerics
-
-    bad = np.array([[1.0, np.nan]])
-    assert numerics.check_finite("x", bad) is bad  # off by default
-    monkeypatch.setattr(numerics, "DEBUG_FINITE", True)
-    with pytest.raises(FloatingPointError):
-        numerics.check_finite("x", bad)
-    ok = np.array([[1.0, 2.0]])
-    assert numerics.check_finite("x", ok) is ok

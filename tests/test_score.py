@@ -218,7 +218,7 @@ class TestRoundTrip:
                 bounds.append(tick)
             mf = track_file(events)
             piece, _ = events_to_piece(mf, grid=12)
-            assert all(not ev.is_rest for ev in piece.events)
+            assert all(ev.pitches for ev in piece.events)
             total = sum(ev.duration for ev in piece.events)
             span = (2 * tick * 12 + 480 - 1) // 960
             assert abs(total - span) <= n

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ class TestCheckpoint:
         assert loaded.dur_vocab == dv
         assert loaded.epoch == 1
         assert loaded.final_loss == 1.25
-        assert loaded.config.to_dict() == config.to_dict()
+        assert asdict(loaded.config) == asdict(config)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "ckpt.bin"
@@ -254,6 +255,19 @@ class TestCheckpoint:
         corpus = tmp_path / "corpus.txt"
         save_corpus(corpus, CorpusFile(12, 10, 48, [looped_song(5, n_tokens=80)]))
         assert cli.main(["eval", "--checkpoint", str(path), "--corpus", str(corpus)]) == 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter(self, tmp_path, value):
+        dataset, config, nv, dv = tiny_setup(epochs=0, hidden=(4,))
+        params = ModelParams.init(config.model, Rng(0))
+        path = tmp_path / "ckpt.bin"
+        # `train --epochs 0` records a NaN final loss; only parameters are checked
+        save_checkpoint(path, params, config, nv, dv, 0, float("nan"))
+        assert np.isnan(load_checkpoint(path).final_loss)
+        params.layers[0].w[5, 3] = value
+        save_checkpoint(path, params, config, nv, dv, 0, 0.5)
+        with pytest.raises(BadCheckpoint, match="layer0"):
+            load_checkpoint(path)
 
     def test_mutated_checkpoint_loads_or_raises_bad_checkpoint(self, tmp_path):
         golden = self.tiny_checkpoint(tmp_path).read_bytes()
