@@ -112,10 +112,15 @@ def load_config_file(path) -> dict:
 
 
 def resolve_config(args, defaults: dict) -> dict:
-    """defaults < config file < explicit CLI flags."""
+    """defaults < config file < explicit CLI flags. A config-file key the
+    command does not use is left out, with a note on stderr."""
     resolved = dict(defaults)
     if getattr(args, "config", None):
-        resolved.update(load_config_file(args.config))
+        for key, value in load_config_file(args.config).items():
+            if key in defaults:
+                resolved[key] = value
+            else:
+                print(f"note: {args.config}: {args.command} ignores {key!r}", file=sys.stderr)
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -180,7 +185,7 @@ def cmd_ingest(args) -> int:
     for path in paths:
         try:
             piece, dangling = events_to_piece(parse_midi(path.read_bytes()), cfg["grid"])
-        except DataError as exc:
+        except (DataError, OSError) as exc:  # malformed, or unreadable (a directory)
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             skipped += 1
             continue

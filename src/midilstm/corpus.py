@@ -160,14 +160,19 @@ def format_song(notes: list[str], durs: list[int]) -> str:
     return " ".join(f"{n}:{d}" for n, d in zip(notes, durs))
 
 
-def parse_song_line(line: str) -> tuple[list[str], list[int]]:
+def parse_song_line(line: str, accepted: set | None = None) -> tuple[list[str], list[int]]:
+    """NOTE:DUR fields of one line; note tokens in ``accepted`` (which
+    gains each new valid one) skip validation."""
+    accepted = set() if accepted is None else accepted
     notes: list[str] = []
     durs: list[int] = []
     for field_text in line.split():
         token, sep, dur_text = field_text.rpartition(":")
         if not sep:
             raise BadCorpusFile(f"field {field_text!r} has no ':' separator")
-        parse_note_token(token)
+        if token not in accepted:
+            parse_note_token(token)
+            accepted.add(token)
         try:
             dur = int(dur_text)
         except ValueError:
@@ -213,7 +218,8 @@ def load_corpus(path) -> CorpusFile:
             raise BadCorpusFile(f"header missing {key!r}")
         if header[key] < 1:
             raise BadCorpusFile(f"header {key}={header[key]} must be >= 1")
-    songs = [parse_song_line(line) for line in lines[1:] if line.strip()]
+    accepted: set[str] = set()  # each distinct note token is validated once
+    songs = [parse_song_line(line, accepted) for line in lines[1:] if line.strip()]
     for notes, durs in songs:
         if any(d > header["max_dur"] for d in durs):
             raise BadCorpusFile(f"duration beyond max_dur={header['max_dur']}")

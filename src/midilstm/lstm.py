@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IndexOutOfRange, ShapeMismatch, StaleCache, UsageError
-from .numerics import Rng, matmul, sigmoid, softmax, xavier_init, zeros
+from .numerics import Rng, matmul, sigmoid, softmax, xavier_init
 
 GATES = ("forget", "input", "cand", "output")  # checkpoint and init order
 COLUMNS = ("forget", "input", "output", "cand")  # gate blocks along w's columns
@@ -99,22 +99,39 @@ class LstmLayerParams:
 
 @dataclass
 class ModelParams:
+    """Every array is a view of one flat arena, ``flat``: each layer's w
+    with its b as one more row, then each head's likewise."""
+
     layers: list[LstmLayerParams]
     w_note: np.ndarray
     b_note: np.ndarray
     w_dur: np.ndarray
     b_dur: np.ndarray
+    flat: np.ndarray
 
     @classmethod
     def zeros(cls, config: ModelConfig) -> "ModelParams":
         """All-zero parameters of the configured shapes."""
         config.validate()
         ins = [config.input_width, *config.hidden_sizes[:-1]]
-        top, nv, dv = config.hidden_sizes[-1], config.note_vocab_size, config.dur_vocab_size
-        return cls(layers=[LstmLayerParams(zeros(h + i, 4 * h), zeros(1, 4 * h))
-                           for i, h in zip(ins, config.hidden_sizes)],
-                   w_note=zeros(top, nv), b_note=zeros(1, nv),
-                   w_dur=zeros(top, dv), b_dur=zeros(1, dv))
+        top = config.hidden_sizes[-1]
+        return cls._carve([(h + i, 4 * h) for i, h in zip(ins, config.hidden_sizes)]
+                          + [(top, config.note_vocab_size), (top, config.dur_vocab_size)])
+
+    @classmethod
+    def _carve(cls, w_shapes) -> "ModelParams":
+        flat = np.zeros(sum((rows + 1) * cols for rows, cols in w_shapes))
+        pairs, end = [], 0
+        for rows, cols in w_shapes:
+            block = flat[end:end + (rows + 1) * cols].reshape(rows + 1, cols)
+            pairs.append((block[:-1], block[-1:]))
+            end += block.size
+        *layers, (w_note, b_note), (w_dur, b_dur) = pairs
+        return cls([LstmLayerParams(w, b) for w, b in layers], w_note, b_note, w_dur, b_dur, flat)
+
+    def zeros_like(self) -> "ModelParams":
+        """A zero twin arena of the same layout, for gradients."""
+        return self._carve([a.w.shape for a in self.layers] + [self.w_note.shape, self.w_dur.shape])
 
     @classmethod
     def init(cls, config: ModelConfig, rng: Rng) -> "ModelParams":
@@ -139,9 +156,6 @@ class ModelParams:
                 out += [(f"layer{i}.{gate}.w", w), (f"layer{i}.{gate}.b", b)]
         return out + [("head_note.w", self.w_note), ("head_note.b", self.b_note),
                       ("head_dur.w", self.w_dur), ("head_dur.b", self.b_dur)]
-
-    def n_params(self) -> int:
-        return sum(arr.size for _, arr in self.named_params())
 
 
 @dataclass
@@ -292,10 +306,11 @@ def step_rows(params: ModelParams, h: list[np.ndarray], c: list[np.ndarray],
 
 
 def model_backward(cache: ForwardCache, note_targets: np.ndarray,
-                   dur_targets: np.ndarray, params: ModelParams) -> dict[str, np.ndarray]:
+                   dur_targets: np.ndarray, params: ModelParams,
+                   grads: ModelParams | None = None) -> dict[str, np.ndarray]:
     """Full BPTT from the two head losses. Returns {param name: gradient}
-    for the batch-summed loss CE_note + CE_dur; the layer entries are views
-    of one fused gradient per layer, laid out like the parameters.
+    for the batch-summed loss CE_note + CE_dur as views of ``grads``, which
+    the pass overwrites (a new ``params.zeros_like()`` when not given).
 
     The pass consumes the cache: each layer's gate activations are
     overwritten with their gradients, and the cache is emptied at the end,
@@ -317,12 +332,11 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
     dlog_note[rows, note_targets] -= 1.0
     dlog_dur = cache.dur_probs.copy()
     dlog_dur[rows, dur_targets] -= 1.0
-    grads = ModelParams(
-        layers=[LstmLayerParams(np.zeros_like(p.w), np.zeros_like(p.b)) for p in params.layers],
-        w_note=matmul(cache.h_final.T, dlog_note),
-        b_note=dlog_note.sum(axis=0, keepdims=True),
-        w_dur=matmul(cache.h_final.T, dlog_dur),
-        b_dur=dlog_dur.sum(axis=0, keepdims=True))
+    grads = params.zeros_like() if grads is None else grads
+    grads.w_note[...] = matmul(cache.h_final.T, dlog_note)
+    grads.b_note[...] = dlog_note.sum(axis=0, keepdims=True)
+    grads.w_dur[...] = matmul(cache.h_final.T, dlog_dur)
+    grads.b_dur[...] = dlog_dur.sum(axis=0, keepdims=True)
 
     # gradient on a layer's h from above: the heads at the top layer's last
     # step, the layer above's input gradient (L, B, H) below it
@@ -356,6 +370,7 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
         if li == 0:  # scatter-add at the ids, the transpose of the row gather
             # (a row loop: np.add.at is about 8x slower on 2-D rows)
             grad_x = grad.w[H:]
+            grad_x[...] = 0.0
             for n, d, row in zip(cache.note_ids.T.ravel().tolist(),
                                  cache.dur_ids.T.ravel().tolist(), d_acts):
                 grad_x[n] += row

@@ -1,8 +1,8 @@
 """Dense float64 linear algebra, activations, init, Adam, and a
 portable seeded RNG.
 
-All numeric state lives in 2-D row-major ``numpy.float64`` arrays; these are
-the only containers the model code uses. Operations are deterministic:
+All numeric state lives in row-major ``numpy.float64`` arrays: 2-D for the
+model code, 1-D for the whole-arena passes. Operations are deterministic:
 identical inputs (and RNG seed) reproduce bit-identical outputs on the same
 machine, which is what makes checkpoints and generated files reproducible.
 """
@@ -22,6 +22,8 @@ _MIX2 = 0x94D049BB133111EB
 
 # loss floor so -log never sees an exact zero
 CE_FLOOR = 1e-12
+# values per pass of the whole-array kernels: their temporaries stay in cache
+BLOCK = 1 << 16
 
 
 def _mix64(z: int) -> int:
@@ -55,22 +57,26 @@ class Rng:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix64(self._state)
 
-    def u64_array(self, n: int) -> np.ndarray:
-        """Next ``n`` outputs as uint64, identical to ``n`` next_u64() calls."""
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + np.uint64(_GAMMA) * idx
-        self._state = int(states[-1]) if n else self._state
-        z = states
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
-
     def uniform(self) -> float:
         """One float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def uniform_array(self, n: int) -> np.ndarray:
-        return (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        """The next ``n`` values of uniform(), and the same end state, mixed
+        in place ``BLOCK`` states at a time (the state is a counter)."""
+        out = np.empty(n)
+        steps = np.arange(1, min(n, BLOCK) + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z, tmp = np.empty_like(steps), np.empty_like(steps)
+        for start in range(0, n, BLOCK):
+            zk, tk = z[:n - start], tmp[:n - start]
+            self._state = int(np.add(steps[:zk.size], np.uint64(self._state), out=zk)[-1])
+            for shift, mult in ((30, _MIX1), (27, _MIX2)):
+                zk ^= np.right_shift(zk, np.uint64(shift), out=tk)
+                zk *= np.uint64(mult)
+            zk ^= np.right_shift(zk, np.uint64(31), out=tk)
+            zk >>= np.uint64(11)
+            np.multiply(zk, 2.0 ** -53, out=out[start:start + zk.size])
+        return out
 
     def randint(self, n: int) -> int:
         """Integer in [0, n) via the multiply-shift range mapping."""
@@ -83,10 +89,6 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.float64)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,14 +124,16 @@ def xavier_init(rows: int, cols: int, rng: Rng) -> np.ndarray:
     """Uniform Glorot init on [-sqrt(6/(rows+cols)), +sqrt(6/(rows+cols))]."""
     if rows <= 0 or cols <= 0:
         raise ShapeMismatch(f"xavier_init needs positive dims, got {rows}x{cols}")
-    bound = np.sqrt(6.0 / (rows + cols))
     u = rng.uniform_array(rows * cols)
-    return ((u * 2.0 - 1.0) * bound).reshape(rows, cols)
+    u *= 2.0
+    u -= 1.0
+    u *= np.sqrt(6.0 / (rows + cols))
+    return u.reshape(rows, cols)
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates for one parameter matrix."""
+    """First/second moment estimates for one parameter array, shaped like it."""
 
     m: np.ndarray
     v: np.ndarray
@@ -138,23 +142,30 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
 
-    @classmethod
-    def for_param(cls, param: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
 
-
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
-    """One bias-corrected Adam update. Mutates ``state``; returns the new param."""
-    if param.shape != grad.shape or param.shape != state.m.shape:
-        raise ShapeMismatch(
-            f"adam_step shapes differ: param {param.shape}, grad {grad.shape}, m {state.m.shape}"
-        )
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of C-contiguous ``param``, in place,
+    ``BLOCK`` values at a time: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), each in that order."""
+    arrays = (param, grad, state.m, state.v)
+    if any(a.shape != param.shape or not a.flags.c_contiguous for a in arrays):
+        raise ShapeMismatch(f"adam_step needs four C-contiguous {param.shape} arrays")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    p, g, m, v = (a.reshape(-1) for a in arrays)
+    buf1, buf2 = np.empty(min(p.size, BLOCK)), np.empty(min(p.size, BLOCK))
+    for s in range(0, p.size, BLOCK):
+        gs, ms, vs = g[s:s + BLOCK], m[s:s + BLOCK], v[s:s + BLOCK]
+        t1, t2 = buf1[:gs.size], buf2[:gs.size]
+        ms *= b1
+        ms += np.multiply(gs, 1.0 - b1, out=t1)
+        vs *= b2
+        vs += np.multiply(np.multiply(gs, 1.0 - b2, out=t1), gs, out=t1)
+        np.multiply(np.divide(ms, c1, out=t1), lr, out=t1)
+        np.sqrt(np.divide(vs, c2, out=t2), out=t2)
+        t2 += state.eps
+        p[s:s + BLOCK] -= np.divide(t1, t2, out=t1)
 
 
 def global_norm(grads) -> float:

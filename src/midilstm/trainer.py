@@ -186,7 +186,8 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
     shuffle_rng = Rng(derive_seed(config.seed, "shuffle"))
     dropout_rng = Rng(derive_seed(config.seed, "dropout"))
     params = ModelParams.init(config.model, init_rng)
-    opt_state = {name: AdamState.for_param(arr) for name, arr in params.named_params()}
+    grads = params.zeros_like()
+    adam = AdamState(np.zeros(params.flat.size), np.zeros(params.flat.size))
 
     metrics: list[MetricsRow] = []
     checkpoint_paths: list[str] = []
@@ -207,24 +208,19 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
                 note_w, dur_w, params, config.model, train=True, rng=dropout_rng)
             loss = _add_batch_stats(totals, note_probs, dur_probs, note_t, dur_t)
 
-            grads = model_backward(cache, note_t, dur_t, params)
-            inv_b = 1.0 / len(batch)
-            names = [name for name, _ in params.named_params()]
-            for name in names:
-                grads[name] *= inv_b
-            norm = global_norm(grads[name] for name in names)
+            named = model_backward(cache, note_t, dur_t, params, grads)
+            grads.flat *= 1.0 / len(batch)
+            norm = global_norm(named.values())
             if not np.isfinite(loss + norm):
                 raise TrainingDiverged(f"epoch {epoch}, window {start}: loss {loss}, "
                                        f"gradient norm {norm}")
             if config.clip_norm > 0 and norm > config.clip_norm:
-                scale = config.clip_norm / norm
-                for name in names:
-                    grads[name] *= scale
-            for name, arr in params.named_params():
-                if config.optimizer == "adam":
-                    arr[...] = adam_step(arr, grads[name], opt_state[name], config.lr)
-                else:
-                    arr -= config.lr * grads[name]
+                grads.flat *= config.clip_norm / norm
+            if config.optimizer == "adam":
+                adam_step(params.flat, grads.flat, adam, config.lr)
+            else:
+                grads.flat *= config.lr
+                params.flat -= grads.flat
 
         metrics.append(MetricsRow.from_totals(epoch, totals, len(order)))
         mean_loss = metrics[-1].loss

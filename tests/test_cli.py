@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +75,19 @@ class TestIngest:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["ingest", "--midi-dir", str(empty), "--out", str(tmp_path / "o")]) == 2
+
+    def test_unreadable_entry_skipped_with_warning(self, tmp_path, midi_dir, capsys):
+        d, pieces = midi_dir
+        (d / "odd.mid").mkdir()  # a MIDI suffix, but reading it raises OSError
+        (d / "broken.mid").write_bytes(b"MThd\x00\x00")
+        out = tmp_path / "o"
+        assert main(["ingest", "--midi-dir", str(d), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "skipping odd.mid" in err and "skipping broken.mid" in err
+        assert len(load_corpus(out / "corpus.txt").songs) == len(pieces)
+        manifest = json.loads((out / "ingest_manifest.json").read_text())
+        assert manifest["skipped_files"] == 2
+        assert len(manifest["inputs"]) == len(pieces)
 
     def test_nondefault_grid_recorded(self, tmp_path, midi_dir):
         d, _ = midi_dir
@@ -432,6 +448,31 @@ class TestUsage:
             args = build_parser().parse_args([command, *required, flag, SETTINGS[key]])
             assert getattr(args, key) == cli.CONFIG_KEYS[key](SETTINGS[key])
 
+    @pytest.mark.parametrize("command, defaults", [
+        ("ingest", cli._INGEST_DEFAULTS),
+        ("train", cli._TRAIN_DEFAULTS),
+        ("generate", cli._GEN_DEFAULTS),
+    ])
+    def test_manifest_config_holds_only_the_commands_keys(self, pipeline, midi_dir, tmp_path,
+                                                          capsys, command, defaults):
+        inputs = {"ingest": ["--midi-dir", str(midi_dir[0])],
+                  "train": ["--corpus", str(pipeline / "corpus.txt")],
+                  "generate": ["--checkpoint", str(pipeline / "checkpoint.bin"),
+                               "--corpus", str(pipeline / "corpus.txt")]}[command]
+        # every config key, with values that fit the pipeline's corpus
+        settings = SETTINGS | {"grid": "12", "window_len": "10", "epochs": "0"}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / f"{command}_manifest.json").read_text())
+        assert manifest["config"].keys() == defaults.keys()
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("note: ")]
+        assert notes == [f"note: {cfg}: {command} ignores {key!r}"
+                         for key in settings if key not in defaults]
+
     @pytest.mark.parametrize("flag", ["--mode", "--optimizer"])
     def test_unknown_choice_is_usage_error(self, pipeline, flag):
         with pytest.raises(SystemExit) as exc:
@@ -460,6 +501,44 @@ class TestUsage:
         with pytest.raises(ValueError, match="internal fault"):
             main(["eval", "--checkpoint", str(pipeline / "checkpoint.bin"),
                   "--corpus", str(pipeline / "corpus.txt")])
+
+
+@pytest.mark.parametrize("batch_size", [
+    "48",  # 3 batches of 480 product rows (window x batch) and one of 360
+    pytest.param("52", marks=pytest.mark.xfail(
+        reason="the README's limit: OpenBLAS splits a weight-gradient product of 520 rows "
+               "(not a multiple of 32, above 384) differently at 2 threads")),
+])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, midi_dir, batch_size):
+    """ingest -> train (odd hidden sizes, dropout, several batches per
+    epoch) -> generate (longer than a window, so the wavefront runs
+    products of 1 to L rows) -> eval, each in a child process at 1 and at
+    2 BLAS threads: every output byte and all stdout must match."""
+    src = Path(cli.__file__).parent.parent
+    steps = [["ingest", "--midi-dir", str(midi_dir[0]), "--out", "run", "--window-len", "10"],
+             ["train", "--corpus", "run/corpus.txt", "--out", "run", "--hidden", "24,16",
+              "--dropout", "0.2", "--epochs", "2", "--batch-size", batch_size,
+              "--checkpoint-every", "1"],
+             ["generate", "--checkpoint", "run/checkpoint.bin", "--corpus", "run/corpus.txt",
+              "--out", "gen", "--count", "2", "--length", "25", "--tokens"],
+             ["eval", "--checkpoint", "run/checkpoint.bin", "--corpus", "run/corpus.txt"]]
+    trees = []
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads{threads}"
+        root.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        stdout = []
+        for argv in steps:
+            proc = subprocess.run([sys.executable, "-m", "midilstm.cli", *argv], cwd=root,
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            stdout.append(proc.stdout.replace(str(root), "<root>"))
+        files = {str(p.relative_to(root)): p.read_bytes()
+                 for p in sorted(root.rglob("*")) if p.is_file()}
+        trees.append((stdout, files))
+    assert len(trees[0][1]) == 12  # corpus, 3 checkpoints, metrics, 4 song files, 3 manifests
+    assert trees[0] == trees[1]
 
 
 def test_no_module_reads_the_environment():

@@ -172,6 +172,34 @@ class TestCorpusFile:
         with pytest.raises(BadToken):
             parse_song_line("64.60:3")
 
+    def test_token_cache_keeps_every_check(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        lines = ["60:1 62:2 60:3", "64.60:2 60:1", "60:1 62:0", "60:1 60:x", "60:1 062:2",
+                 "60:1 60:49"]
+        errors = [BadToken, BadCorpusFile, BadCorpusFile, BadToken, BadCorpusFile]
+        for bad, error in zip(lines[1:], errors):
+            path.write_text(f"#grid=12 L=50 max_dur=48\n{lines[0]}\n{bad}\n")
+            with pytest.raises(error):
+                load_corpus(path)
+
+    def test_repeated_malformed_token_fails_at_its_first_field(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        # the second line's own error (no ':') comes after the repeat
+        path.write_text("#grid=12 L=50 max_dur=48\n60:1 64.60:2\n64.60:3 62\n")
+        with pytest.raises(BadToken, match="64.60"):
+            load_corpus(path)
+        accepted: set = set()
+        for _ in range(2):  # a rejected token never enters the cache
+            with pytest.raises(BadToken):
+                parse_song_line("60:1 64.60:2", accepted)
+            assert accepted == {"60"}
+
+    def test_cached_token_then_its_non_canonical_spelling(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("#grid=12 L=50 max_dur=48\n60:1 62:2 60:4\nR:2 060:3\n")
+        with pytest.raises(BadToken, match="non-canonical"):
+            load_corpus(path)
+
     def test_format_song(self):
         assert format_song(["60.64", "R"], [6, 12]) == "60.64:6 R:12"
 

@@ -15,11 +15,12 @@ from midilstm.lstm import (
     model_forward,
     reference_check_config,
 )
-from midilstm.numerics import Rng, zeros
+from midilstm.numerics import Rng
 
 
 def zero_layer(input_size: int, hidden: int) -> LstmLayerParams:
-    return LstmLayerParams(w=zeros(hidden + input_size, 4 * hidden), b=zeros(1, 4 * hidden))
+    return LstmLayerParams(w=np.zeros((hidden + input_size, 4 * hidden)),
+                           b=np.zeros((1, 4 * hidden)))
 
 
 def pre_activations(layer: LstmLayerParams, x, h_prev) -> np.ndarray:
@@ -72,9 +73,9 @@ class TestCellForward:
     def test_all_zero_params_zero_state(self):
         layer = zero_layer(3, 4)
         x = np.array([[1.0, 0.0, 0.0]])
-        h, c = cell_forward(pre_activations(layer, x, zeros(1, 4)), zeros(1, 4))
-        assert np.array_equal(h, zeros(1, 4))
-        assert np.array_equal(c, zeros(1, 4))
+        h, c = cell_forward(pre_activations(layer, x, np.zeros((1, 4))), np.zeros((1, 4)))
+        assert np.array_equal(h, np.zeros((1, 4)))
+        assert np.array_equal(c, np.zeros((1, 4)))
 
     def test_zero_params_halve_cell_state(self):
         # sigma(0) = 0.5 everywhere, candidate tanh(0) = 0:
@@ -82,7 +83,7 @@ class TestCellForward:
         layer = zero_layer(2, 3)
         c_prev = np.array([[0.4, -1.2, 2.0]])
         x = np.zeros((1, 2))
-        h, c = cell_forward(pre_activations(layer, x, zeros(1, 3)), c_prev)
+        h, c = cell_forward(pre_activations(layer, x, np.zeros((1, 3))), c_prev)
         assert np.allclose(c, 0.5 * c_prev)
         assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev))
 
@@ -92,7 +93,7 @@ class TestCellForward:
         layer = zero_layer(2, 3)
         layer.b[:, :3] += 50.0
         c_prev = np.array([[0.7, -0.3, 1.1]])
-        a = pre_activations(layer, np.zeros((1, 2)), zeros(1, 3))
+        a = pre_activations(layer, np.zeros((1, 2)), np.zeros((1, 3)))
         h, c = cell_forward(a, c_prev)
         assert np.max(np.abs(c - c_prev)) < 1e-9
         assert np.allclose(h, 0.5 * np.tanh(c_prev))
@@ -111,9 +112,9 @@ class TestCellForward:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):  # batch
-            cell_forward(np.zeros((1, 12)), zeros(2, 3))
+            cell_forward(np.zeros((1, 12)), np.zeros((2, 3)))
         with pytest.raises(ShapeMismatch):  # width
-            cell_forward(np.zeros((2, 8)), zeros(2, 3))
+            cell_forward(np.zeros((2, 8)), np.zeros((2, 3)))
 
 
 class TestModelForward:
@@ -370,7 +371,7 @@ class TestParams:
         config = reference_check_config()
         params = ModelParams.init(config, Rng(0))
         # layer0: 4*(16*(16+18)+16), layer1: 4*(16*32+16), heads: 16*12+12+16*6+6
-        assert params.n_params() == 4 * (16 * 34 + 16) + 4 * (16 * 32 + 16) + 204 + 102
+        assert params.flat.size == 4 * (16 * 34 + 16) + 4 * (16 * 32 + 16) + 204 + 102
 
     def test_bad_config_rejected(self):
         with pytest.raises(UsageError):

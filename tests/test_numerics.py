@@ -5,6 +5,7 @@ import pytest
 
 from midilstm.errors import ShapeMismatch
 from midilstm.numerics import (
+    BLOCK,
     AdamState,
     Rng,
     adam_step,
@@ -28,11 +29,31 @@ class TestRng:
 
     def test_vector_path_matches_scalar(self):
         a, b = Rng(99), Rng(99)
-        scalar = [a.next_u64() for _ in range(100)]
-        vector = [int(x) for x in b.u64_array(100)]
+        scalar = [a.uniform() for _ in range(100)]
+        vector = b.uniform_array(100).tolist()
         assert scalar == vector
         # interleaving keeps the streams in sync too
-        assert a.next_u64() == int(b.u64_array(1)[0])
+        assert a.uniform() == b.uniform_array(1)[0]
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_blocked_fill_matches_whole_array_and_scalar(self, n):
+        def whole_array(rng, n):
+            """The unblocked fill: all n states at once, then the mix."""
+            idx = np.arange(1, n + 1, dtype=np.uint64)
+            z = np.uint64(rng._state) + np.uint64(0x9E3779B97F4A7C15) * idx
+            rng._state = int(z[-1]) if n else rng._state
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            z = z ^ (z >> np.uint64(31))
+            return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+        blocked, whole, scalar = Rng(2**64 - 5), Rng(2**64 - 5), Rng(2**64 - 5)
+        got = blocked.uniform_array(n)
+        assert got.shape == (n,)
+        assert got.tobytes() == whole_array(whole, n).tobytes()
+        assert got.tolist() == [scalar.uniform() for _ in range(n)]
+        assert blocked._state == whole._state == scalar._state
+        assert blocked.next_u64() == scalar.next_u64()
 
     def test_same_seed_same_stream(self):
         assert [Rng(7).uniform() for _ in range(5)] == [Rng(7).uniform() for _ in range(5)]
@@ -185,16 +206,16 @@ def adam_reference(x0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
 class TestAdam:
     def test_first_step_moves_by_lr(self):
         param = np.zeros((1, 1))
-        state = AdamState.for_param(param)
-        new = adam_step(param, np.array([[0.5]]), state, lr=0.01)
-        assert new[0, 0] == pytest.approx(-0.01, rel=1e-7)
+        state = AdamState(np.zeros_like(param), np.zeros_like(param))
+        adam_step(param, np.array([[0.5]]), state, lr=0.01)
+        assert param[0, 0] == pytest.approx(-0.01, rel=1e-7)
         assert state.t == 1
 
     def test_zero_grad_keeps_param(self):
         param = np.full((2, 2), 3.0)
-        state = AdamState.for_param(param)
-        new = adam_step(param, np.zeros((2, 2)), state, lr=0.1)
-        assert np.array_equal(new, param)
+        state = AdamState(np.zeros_like(param), np.zeros_like(param))
+        adam_step(param, np.zeros((2, 2)), state, lr=0.1)
+        assert np.array_equal(param, np.full((2, 2), 3.0))
         assert state.t == 1
 
     def test_matches_scalar_reference(self):
@@ -202,25 +223,49 @@ class TestAdam:
         grads = [(u - 0.5) * 4 for u in rng.uniform_array(100)]
         expected = adam_reference(1.5, grads, lr=0.05)
         param = np.array([[1.5]])
-        state = AdamState.for_param(param)
+        state = AdamState(np.zeros_like(param), np.zeros_like(param))
         for g, want in zip(grads, expected):
-            param = adam_step(param, np.array([[g]]), state, lr=0.05)
+            adam_step(param, np.array([[g]]), state, lr=0.05)
             assert param[0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_constant_grad_moves_monotonically(self):
         param = np.array([[0.0]])
-        state = AdamState.for_param(param)
+        state = AdamState(np.zeros_like(param), np.zeros_like(param))
         values = []
         for _ in range(100):
-            param = adam_step(param, np.array([[0.5]]), state, lr=0.01)
+            adam_step(param, np.array([[0.5]]), state, lr=0.01)
             values.append(param[0, 0])
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_shape_mismatch(self):
         param = np.zeros((2, 2))
-        state = AdamState.for_param(param)
+        state = AdamState(np.zeros_like(param), np.zeros_like(param))
         with pytest.raises(ShapeMismatch):
             adam_step(param, np.zeros((2, 3)), state, lr=0.1)
+
+    def test_non_contiguous_view_rejected(self):
+        param = np.zeros((4, 4))[:, :2]  # an in-place update through a copy would be lost
+        state = AdamState(np.zeros((4, 2)), np.zeros((4, 2)))
+        with pytest.raises(ShapeMismatch):
+            adam_step(param, np.zeros((4, 2)), state, lr=0.1)
+
+    def test_blocked_update_matches_out_of_place_formula(self):
+        n, lr = 2 * BLOCK + 3, 1e-3
+        rng = Rng(41)
+        param = rng.uniform_array(n) - 0.5
+        state = AdamState(np.zeros_like(param), np.zeros_like(param))
+        p, m, v = param.copy(), np.zeros(n), np.zeros(n)
+        for t in (1, 2, 3):
+            g = (rng.uniform_array(n) - 0.5) * 8.0
+            if t == 2:  # a clipped step, scaled as the trainer scales it
+                g *= 0.5 / float(np.sqrt(np.sum(g * g)))
+            adam_step(param, g, state, lr)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            p = p - lr * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            assert state.t == t
+            assert param.tobytes() == p.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 def test_global_norm():
