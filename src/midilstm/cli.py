@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -47,10 +48,10 @@ MIDI_SUFFIXES = (".mid", ".midi")
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(p) for p in text.split(",") if p.strip())
+        sizes = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"bad hidden sizes {text!r} (want e.g. 512,512,512)") from None
-    if not sizes or any(s < 1 for s in sizes):
+    if any(s < 1 for s in sizes):
         raise UsageError(f"bad hidden sizes {text!r}")
     return sizes
 
@@ -115,14 +116,14 @@ def resolve_config(args, defaults: dict) -> dict:
     """defaults < config file < explicit CLI flags. A config-file key the
     command does not use is left out, with a note on stderr."""
     resolved = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in load_config_file(args.config).items():
             if key in defaults:
                 resolved[key] = value
             else:
                 print(f"note: {args.config}: {args.command} ignores {key!r}", file=sys.stderr)
     for key in defaults:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
     return resolved
@@ -130,13 +131,6 @@ def resolve_config(args, defaults: dict) -> dict:
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _relative_to(path, root) -> str:
-    try:
-        return str(Path(path).resolve().relative_to(Path(root).resolve()))
-    except ValueError:
-        return Path(path).name
 
 
 def write_manifest(out_dir, command: str, config: dict, inputs, outputs,
@@ -148,7 +142,7 @@ def write_manifest(out_dir, command: str, config: dict, inputs, outputs,
         "tool_version": __version__,
         "config": {k: list(v) if isinstance(v, tuple) else v for k, v in sorted(config.items())},
         "inputs": [{"name": Path(p).name, "sha256": _sha256(p)} for p in inputs],
-        "outputs": [_relative_to(p, out_dir) for p in outputs],
+        "outputs": [str(Path(p).relative_to(out_dir)) for p in outputs],
         "seeds": {"master": seed, **{label: derive_seed(seed, label) for label in sub_seeds}},
     }
     if extra:
@@ -230,10 +224,11 @@ def _train_config_from(cfg: dict, corpus: CorpusFile, note_vocab, dur_vocab,
     return config
 
 
+# the library's defaults; grid and window_len, when given, are checked against the corpus
 _TRAIN_DEFAULTS = {
-    "epochs": 10, "batch_size": 64, "lr": 1e-3, "optimizer": "adam",
-    "clip_norm": 5.0, "checkpoint_every": 10, "holdout": 0.0,
-    "hidden": (512, 512, 512), "dropout": 0.3, "grid": None, "window_len": None,
+    **{f.name: f.default for f in fields(TrainConfig) if f.name not in ("model", "seed")},
+    "hidden": ModelConfig.hidden_sizes, "dropout": ModelConfig.dropout,
+    "grid": None, "window_len": None,
 }
 
 
@@ -255,16 +250,14 @@ def cmd_train(args) -> int:
         h = result.holdout_metrics
         print(f"holdout: loss {h.loss:.4f}  note_acc {h.note_acc:.3f}  "
               f"dur_acc {h.dur_acc:.3f}  note_ppl {h.note_ppl:.2f}")
-    outputs = [metrics_path] + [Path(p) for p in result.checkpoint_paths]
+    outputs = [metrics_path, *result.checkpoint_paths]
     write_manifest(out, "train", cfg, [args.corpus], outputs, args.seed,
                    ["init", "shuffle", "dropout"])
     print(f"checkpoint: {out / 'checkpoint.bin'}")
     return EXIT_OK
 
 
-_GEN_DEFAULTS = {
-    "count": 1, "length": 500, "temperature": 1.0, "mode": "sample", "repeat_cap": 8,
-}
+_GEN_DEFAULTS = {"count": 1, **{f.name: f.default for f in fields(GenConfig)}}
 _VARIANT_DEFAULTS = _TRAIN_DEFAULTS | _GEN_DEFAULTS | {"count": 5}
 
 
@@ -398,9 +391,10 @@ def cmd_variants(args) -> int:
     variants = []
     for variant_text in args.variant:
         name, sep, overrides_text = variant_text.partition(":")
-        if not sep or not name:
+        if not sep or name in ("", ".", "..") or "/" in name:  # NAME is a directory in --out
             raise UsageError(f"bad --variant {variant_text!r} (want NAME:key=value,...)")
-        items = overrides_text.split(",") if overrides_text else []
+        # a comma starts a new item only before a key=, so hidden=8,8 is one item
+        items = re.split(r",(?=[^,=]*=)", overrides_text) if overrides_text else []
         overrides = dict(_parse_setting(item, f"--variant {variant_text!r}") for item in items)
         shared = sorted(overrides.keys() & _GEN_DEFAULTS.keys())
         if shared:
@@ -487,14 +481,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_command(sub, name: str, func, summary: str, config_keys=()) -> argparse.ArgumentParser:
-    """Subcommand with one --key-name flag per config key plus the common flags."""
+def _add_command(sub, name: str, func, summary: str,
+                 defaults: dict | None = None) -> argparse.ArgumentParser:
+    """Subcommand. One that resolves a config from ``defaults`` also takes one
+    --key-name flag per key, --seed, --config and --out."""
     p = sub.add_parser(name, help=summary)
-    for key in config_keys:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=CONFIG_KEYS[key])
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--out", default="out", help="output directory (default ./out)")
+    if defaults is not None:
+        for key in defaults:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=CONFIG_KEYS[key])
+        p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
+        p.add_argument("--config", help="key = value config file")
+        p.add_argument("--out", default="out", help="output directory (default ./out)")
     p.set_defaults(func=func)
     return p
 
@@ -532,8 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME:key=value,...",
                    help="variant name plus config overrides (repeatable)")
 
-    p = _add_command(sub, "gradcheck", cmd_gradcheck, "verify BPTT against finite differences",
-                     ["hidden"])
+    p = _add_command(sub, "gradcheck", cmd_gradcheck, "verify BPTT against finite differences")
+    p.add_argument("--hidden", type=_parse_hidden)
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     p.add_argument("--tolerance", type=float, default=1e-4)
 
     p = _add_command(sub, "roundtrip", cmd_roundtrip,

@@ -34,12 +34,10 @@ from .lstm import ModelParams, heads, step_rows
 from .numerics import Rng, softmax
 from .score import DEFAULT_TEMPO, NoteEvent, Piece
 
-DEFAULT_LENGTH = 500
-
 
 @dataclass
 class GenConfig:
-    length: int = DEFAULT_LENGTH
+    length: int = 500
     temperature: float = 1.0
     mode: str = "sample"  # or "argmax"
     repeat_cap: int = 8  # 0 disables the guard

@@ -24,6 +24,8 @@ _MIX2 = 0x94D049BB133111EB
 CE_FLOOR = 1e-12
 # values per pass of the whole-array kernels: their temporaries stay in cache
 BLOCK = 1 << 16
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _mix64(z: int) -> int:
@@ -138,9 +140,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
@@ -151,7 +150,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
     if any(a.shape != param.shape or not a.flags.c_contiguous for a in arrays):
         raise ShapeMismatch(f"adam_step needs four C-contiguous {param.shape} arrays")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_B1, ADAM_B2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     p, g, m, v = (a.reshape(-1) for a in arrays)
     buf1, buf2 = np.empty(min(p.size, BLOCK)), np.empty(min(p.size, BLOCK))
@@ -164,7 +163,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
         vs += np.multiply(np.multiply(gs, 1.0 - b2, out=t1), gs, out=t1)
         np.multiply(np.divide(ms, c1, out=t1), lr, out=t1)
         np.sqrt(np.divide(vs, c2, out=t2), out=t2)
-        t2 += state.eps
+        t2 += ADAM_EPS
         p[s:s + BLOCK] -= np.divide(t1, t2, out=t1)
 
 

@@ -36,6 +36,8 @@ from .numerics import (
 
 CHECKPOINT_MAGIC = b"LSTMCMP1"
 CHECKPOINT_VERSION = 1
+# windows per infer-mode forward pass of evaluation
+EVAL_BATCH = 256
 
 
 @dataclass
@@ -239,11 +241,10 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
 
 
 def _evaluate_windows(params: ModelParams, model_config: ModelConfig, dataset: Dataset,
-                      windows: list[tuple[int, int]], epoch: int,
-                      batch_size: int = 256) -> MetricsRow:
+                      windows: list[tuple[int, int]], epoch: int) -> MetricsRow:
     totals = [0.0, 0.0, 0, 0]
-    for start in range(0, len(windows), batch_size):
-        batch = windows[start:start + batch_size]
+    for start in range(0, len(windows), EVAL_BATCH):
+        batch = windows[start:start + EVAL_BATCH]
         note_w, dur_w, note_t, dur_t = _gather(dataset, batch)
         note_probs, dur_probs, _ = model_forward(note_w, dur_w, params, model_config)
         _add_batch_stats(totals, note_probs, dur_probs, note_t, dur_t)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -384,21 +385,38 @@ class TestVariants:
         assert main(["variants", "--corpus", str(pipeline / "corpus.txt"),
                      "--out", str(pipeline / "var"), "--variant", "a:bogus=1"]) == 1
 
+    def test_override_sets_a_multi_layer_stack(self, pipeline):
+        out = pipeline / "var"
+        assert self.variants(pipeline, out, "--count", "1", "--length", "5",
+                             "--variant", "deep:hidden=8,8,lr=0.01") == 0
+        config = json.loads((out / "variants_manifest.json").read_text())["variants"]["deep"]
+        assert config["config"]["model"]["hidden_sizes"] == [8, 8]
+        assert config["config"]["lr"] == 0.01
+
+    @pytest.mark.parametrize("variant", [
+        "a:8,hidden=4",  # a bare leading item
+        "a:hidden=8,,lr=1", "a:lr=1,,hidden=8", "a:,lr=1", "a:hidden=8,",  # an empty item
+        "..:", ".:", "a/b:", "{pipeline}/abs:",  # a name that is not one directory inside --out
+    ])
+    def test_malformed_variant_is_usage_error(self, pipeline, variant):
+        out = pipeline / "var"
+        assert self.variants(pipeline, out, "--variant", variant.format(pipeline=pipeline)) == 1
+        assert not out.exists()
+
 
 class TestChecks:
-    def test_gradcheck_passes(self, tmp_path, capsys):
-        assert main(["gradcheck", "--hidden", "8", "--out", str(tmp_path)]) == 0
+    def test_gradcheck_passes(self, capsys):
+        assert main(["gradcheck", "--hidden", "8"]) == 0
         assert capsys.readouterr().out.startswith("PASS")
 
-    def test_gradcheck_impossible_tolerance_fails(self, tmp_path, capsys):
-        assert main(["gradcheck", "--hidden", "8", "--tolerance", "0",
-                     "--out", str(tmp_path)]) == 3
+    def test_gradcheck_impossible_tolerance_fails(self, capsys):
+        assert main(["gradcheck", "--hidden", "8", "--tolerance", "0"]) == 3
         assert capsys.readouterr().out.startswith("FAIL")
 
-    def test_roundtrip_passes_on_valid_files(self, midi_dir, tmp_path, capsys):
+    def test_roundtrip_passes_on_valid_files(self, midi_dir, capsys):
         d, _ = midi_dir
         files = [str(p) for p in sorted(d.glob("*.mid"))]
-        assert main(["roundtrip", *files, "--out", str(tmp_path)]) == 0
+        assert main(["roundtrip", *files]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == len(files)
 
@@ -407,11 +425,58 @@ class TestChecks:
         valid = sorted(d.glob("*.mid"))[0]
         broken = tmp_path / "broken.mid"
         broken.write_bytes(valid.read_bytes()[:-5])
-        assert main(["roundtrip", str(broken), "--out", str(tmp_path)]) == 2
+        assert main(["roundtrip", str(broken)]) == 2
         assert "ERROR" in capsys.readouterr().out
 
 
+# each command's flags: the four that resolve a config take --seed, --config,
+# --out and one flag per config key they read
+_CONFIG_FLAGS = {"--seed", "--config", "--out"}
+_TRAIN_KEY_FLAGS = {"--epochs", "--batch-size", "--lr", "--optimizer", "--clip-norm",
+                    "--checkpoint-every", "--holdout", "--hidden", "--dropout", "--grid",
+                    "--window-len"}
+_GEN_KEY_FLAGS = {"--count", "--length", "--temperature", "--mode", "--repeat-cap"}
+COMMAND_FLAGS = {
+    "ingest": _CONFIG_FLAGS | {"--grid", "--window-len", "--max-dur", "--midi-dir"},
+    "train": _CONFIG_FLAGS | _TRAIN_KEY_FLAGS | {"--corpus"},
+    "generate": _CONFIG_FLAGS | _GEN_KEY_FLAGS | {"--checkpoint", "--corpus", "--seed-window",
+                                                  "--seed-file", "--tokens"},
+    "eval": {"--checkpoint", "--corpus"},
+    "variants": _CONFIG_FLAGS | _TRAIN_KEY_FLAGS | _GEN_KEY_FLAGS | {"--corpus", "--variant"},
+    "gradcheck": {"--hidden", "--seed", "--tolerance"},
+    "roundtrip": {"files"},
+}
+
+
 class TestUsage:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {a.option_strings[0] if a.option_strings else a.dest
+                        for a in p._actions if not isinstance(a, argparse._HelpAction)}
+                 for name, p in sub.choices.items()}
+        assert flags == COMMAND_FLAGS
+        assert sum(map(len, flags.values())) == 62
+
+    @pytest.mark.parametrize("command, extra", [
+        (["eval", "--checkpoint", "k.bin", "--corpus", "c.txt"], ["--out", "o"]),
+        (["eval", "--checkpoint", "k.bin", "--corpus", "c.txt"], ["--config", "k.cfg"]),
+        (["eval", "--checkpoint", "k.bin", "--corpus", "c.txt"], ["--seed", "1"]),
+        (["roundtrip", "a.mid"], ["--out", "o"]),
+        (["roundtrip", "a.mid"], ["--config", "k.cfg"]),
+        (["roundtrip", "a.mid"], ["--seed", "1"]),
+        (["gradcheck", "--hidden", "4"], ["--out", "o"]),
+        (["gradcheck", "--hidden", "4"], ["--config", "k.cfg"]),
+    ])
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, monkeypatch,
+                                                           command, extra):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k.cfg").write_text("hidden = 8\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *extra])
+        assert exc.value.code == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["k.cfg"]  # created nothing
+
     def test_unknown_command_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["conduct"])
