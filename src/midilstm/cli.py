@@ -140,7 +140,7 @@ def write_manifest(out_dir, command: str, config: dict, inputs, outputs,
     manifest = {
         "command": command,
         "tool_version": __version__,
-        "config": {k: list(v) if isinstance(v, tuple) else v for k, v in sorted(config.items())},
+        "config": config,
         "inputs": [{"name": Path(p).name, "sha256": _sha256(p)} for p in inputs],
         "outputs": [str(Path(p).relative_to(out_dir)) for p in outputs],
         "seeds": {"master": seed, **{label: derive_seed(seed, label) for label in sub_seeds}},
@@ -167,6 +167,9 @@ _INGEST_DEFAULTS = {"grid": DEFAULT_GRID, "window_len": DEFAULT_WINDOW, "max_dur
 
 def cmd_ingest(args) -> int:
     cfg = resolve_config(args, _INGEST_DEFAULTS)
+    for key in _INGEST_DEFAULTS:  # the bounds load_corpus enforces on the header
+        if cfg[key] < 1:
+            raise UsageError(f"{key} {cfg[key]} must be >= 1")
     midi_dir = Path(args.midi_dir)
     if not midi_dir.is_dir():
         raise NoUsableFiles(f"{midi_dir} is not a directory")
@@ -369,8 +372,7 @@ def cmd_generate(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt, _, dataset = _load_model_and_corpus(args)
-    row = evaluate(ckpt.params, ckpt.config.model, dataset, ckpt.note_vocab, ckpt.dur_vocab,
-                   epoch=ckpt.epoch)
+    row = evaluate(ckpt.params, dataset, ckpt.note_vocab, ckpt.dur_vocab, epoch=ckpt.epoch)
     print(row.CSV_HEADER)
     print(row.csv_line())
     return EXIT_OK

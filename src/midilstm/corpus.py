@@ -71,9 +71,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token) -> bool:
-        return token in self.index
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self.tokens == other.tokens
 

@@ -18,31 +18,27 @@ class DataError(Exception):
 
 # --- MIDI file format ---
 
-class MidiError(DataError):
-    """Base class for Standard MIDI File read/write errors."""
-
-
-class UnterminatedVlq(MidiError):
+class UnterminatedVlq(DataError):
     pass
 
 
-class BadHeader(MidiError):
+class BadHeader(DataError):
     pass
 
 
-class TruncatedChunk(MidiError):
+class TruncatedChunk(DataError):
     pass
 
 
-class UnsupportedFormat(MidiError):
+class UnsupportedFormat(DataError):
     pass
 
 
-class BadEvent(MidiError):
+class BadEvent(DataError):
     pass
 
 
-class InvariantViolation(MidiError):
+class InvariantViolation(DataError):
     pass
 
 

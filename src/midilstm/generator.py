@@ -32,7 +32,7 @@ from .corpus import Dataset, Vocabulary, parse_note_token
 from .errors import BadToken, CorpusTooShort, UsageError
 from .lstm import ModelParams, heads, step_rows
 from .numerics import Rng, softmax
-from .score import DEFAULT_TEMPO, NoteEvent, Piece
+from .score import NoteEvent, Piece
 
 
 @dataclass
@@ -115,6 +115,7 @@ def generate(params: ModelParams, note_vocab: Vocabulary, dur_vocab: Vocabulary,
     window, sliding the context by one token per step (see the module
     docstring for how the windows are batched)."""
     config.validate()
+    params.check_vocabs(note_vocab, dur_vocab)
     if len(seed_notes) != len(seed_durs) or not seed_notes:
         raise BadToken("seed streams must be equal-length and non-empty")
     note_ids = [note_vocab.encode(tok) for tok in seed_notes]
@@ -178,7 +179,7 @@ def generate(params: ModelParams, note_vocab: Vocabulary, dur_vocab: Vocabulary,
     return GenResult(out_notes, out_durs, saturations, triggers)
 
 
-def emit(notes, durs, grid: int, tempo: int = DEFAULT_TEMPO) -> Piece:
+def emit(notes, durs, grid: int) -> Piece:
     """Lay generated tokens onto a sequential timeline: each event starts
     where the previous one ended; rest tokens become rest events."""
     if len(notes) != len(durs):
@@ -192,4 +193,4 @@ def emit(notes, durs, grid: int, tempo: int = DEFAULT_TEMPO) -> Piece:
             raise BadToken(f"duration {dur} must be >= 1")
         events.append(NoteEvent(onset, dur, pitches))
         onset += dur
-    return Piece(grid=grid, events=events, tempo=tempo)
+    return Piece(grid=grid, events=events)

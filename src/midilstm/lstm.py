@@ -41,12 +41,12 @@ callers that want batch means divide by the batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, ShapeMismatch, StaleCache, UsageError
-from .numerics import Rng, matmul, sigmoid, softmax, xavier_init
+from .errors import IndexOutOfRange, ShapeMismatch, StaleCache, UsageError, VocabMismatch
+from .numerics import CE_FLOOR, Rng, matmul, sigmoid, softmax, xavier_init
 
 GATES = ("forget", "input", "cand", "output")  # checkpoint and init order
 COLUMNS = ("forget", "input", "output", "cand")  # gate blocks along w's columns
@@ -100,7 +100,9 @@ class LstmLayerParams:
 @dataclass
 class ModelParams:
     """Every array is a view of one flat arena, ``flat``: each layer's w
-    with its b as one more row, then each head's likewise."""
+    with its b as one more row, then each head's likewise. The heads'
+    widths are the vocabulary sizes, and everything that runs the model
+    reads its shape from here."""
 
     layers: list[LstmLayerParams]
     w_note: np.ndarray
@@ -147,6 +149,13 @@ class ModelParams:
             w[...] = xavier_init(*w.shape, rng)
         return params
 
+    def check_vocabs(self, note_vocab, dur_vocab) -> None:
+        """Raise ``VocabMismatch`` unless the vocabularies fit the heads."""
+        nv, dv = self.w_note.shape[1], self.w_dur.shape[1]
+        if (len(note_vocab), len(dur_vocab)) != (nv, dv):
+            raise VocabMismatch(f"model has vocab sizes {nv}/{dv}, "
+                                f"vocabularies have {len(note_vocab)}/{len(dur_vocab)}")
+
     def named_params(self) -> list[tuple[str, np.ndarray]]:
         """Canonical (name, array) ordering used by the optimizer,
         checkpoints, and the gradient check. Gate entries are views."""
@@ -168,7 +177,6 @@ class LayerCache:
 
 @dataclass
 class ForwardCache:
-    train: bool
     dropout: float  # the rate applied, 0.0 in infer mode
     note_ids: np.ndarray
     dur_ids: np.ndarray
@@ -193,10 +201,8 @@ def cell_forward(a: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _check_ids(ids: np.ndarray, size: int, what: str) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     if ids.ndim != 2:
-        raise ShapeMismatch(f"{what} ids must be 1-D or 2-D, got {ids.shape}")
+        raise ShapeMismatch(f"{what} ids must be (B, L), got {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= size):
         raise IndexOutOfRange(f"{what} id outside [0, {size})")
     return ids
@@ -212,27 +218,29 @@ def _dropped(x: np.ndarray, keep: np.ndarray | None, drop: float) -> np.ndarray:
 
 
 def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams,
-                  config: ModelConfig, train: bool = False, rng: Rng | None = None,
+                  train: bool = False, rng: Rng | None = None, dropout: float = 0.0,
                   ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run a batch of windows through the stack from zero initial state.
 
-    ``note_ids``/``dur_ids`` are (B, L) integer arrays (a single 1-D window
-    is promoted to B=1). Returns softmax rows from both heads, computed on
-    the top layer's final-step h, plus the cache the backward pass needs.
+    ``note_ids``/``dur_ids`` are (B, L) integer arrays of ids below the
+    widths of the note and duration heads. Returns softmax rows from both
+    heads, computed on the top layer's final-step h, plus the cache the
+    backward pass needs.
 
-    The stack runs layer by layer, each over all L steps. Train-mode
-    dropout draws ``B * H`` uniforms per step and per dropped layer, in
-    step-major order, as one block from ``rng``. Infer mode keeps one
-    layer's h and a rolling c, and no cache.
+    The stack runs layer by layer, each over all L steps. Train mode drops
+    each layer's h at rate ``dropout`` on its way up, drawing ``B * H``
+    uniforms per step and per dropped layer, in step-major order, as one
+    block from ``rng``. Infer mode keeps one layer's h and a rolling c,
+    and no cache.
     """
-    nv, dv = config.note_vocab_size, config.dur_vocab_size
+    nv, dv = params.w_note.shape[1], params.w_dur.shape[1]
     note_ids = _check_ids(note_ids, nv, "note")
     dur_ids = _check_ids(dur_ids, dv, "duration")
     if note_ids.shape != dur_ids.shape:
         raise ShapeMismatch(f"id streams differ: {note_ids.shape} vs {dur_ids.shape}")
     B, L = note_ids.shape
     sizes = [layer.hidden_size for layer in params.layers]
-    drop = config.dropout if train else 0.0
+    drop = dropout if train else 0.0
     keeps: list[np.ndarray | None] = [None] * len(sizes)
     if drop > 0.0 and len(sizes) > 1:
         if rng is None:
@@ -273,7 +281,7 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
 
     h_top = x[-1].copy()  # a view would pin all of h
     note_probs, dur_probs = heads(h_top, params)
-    cache = ForwardCache(train=train, dropout=drop, note_ids=note_ids, dur_ids=dur_ids,
+    cache = ForwardCache(dropout=drop, note_ids=note_ids, dur_ids=dur_ids,
                          layers=layers, h_final=h_top, note_probs=note_probs,
                          dur_probs=dur_probs)
     return note_probs, dur_probs, cache
@@ -316,7 +324,7 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
     overwritten with their gradients, and the cache is emptied at the end,
     so it backs exactly one backward pass.
     """
-    if not cache.train or not cache.layers:
+    if not cache.layers:
         raise StaleCache("backward needs the unused cache of a train-mode forward pass")
     note_targets = np.asarray(note_targets, dtype=np.int64).reshape(-1)
     dur_targets = np.asarray(dur_targets, dtype=np.int64).reshape(-1)
@@ -409,7 +417,6 @@ def grad_check(config: ModelConfig, rng: Rng, tolerance: float = 1e-4,
     """Compare BPTT gradients against central finite differences for every
     parameter. Dropout is disabled for the check; the relative error uses an
     absolute floor of 1e-6 in the denominator."""
-    config = replace(config, dropout=0.0)
     params = ModelParams.init(config, rng)
     L = config.window_len
     note_ids = np.array([[rng.randint(config.note_vocab_size) for _ in range(L)]])
@@ -419,11 +426,11 @@ def grad_check(config: ModelConfig, rng: Rng, tolerance: float = 1e-4,
 
     def loss() -> float:
         note_probs, dur_probs, _ = model_forward(
-            note_ids, dur_ids, params, config, train=True)
-        return (-np.log(note_probs[0, note_target[0]] + 1e-12)
-                - np.log(dur_probs[0, dur_target[0]] + 1e-12))
+            note_ids, dur_ids, params, train=True)
+        return (-np.log(note_probs[0, note_target[0]] + CE_FLOOR)
+                - np.log(dur_probs[0, dur_target[0]] + CE_FLOOR))
 
-    _, _, cache = model_forward(note_ids, dur_ids, params, config, train=True)
+    _, _, cache = model_forward(note_ids, dur_ids, params, train=True)
     analytic = model_backward(cache, note_target, dur_target, params)
 
     max_rel = 0.0

@@ -26,7 +26,6 @@ from .errors import (
 )
 
 VLQ_MAX = (1 << 28) - 1
-DELTA_MAX = VLQ_MAX
 DIVISION_MAX = 32767
 
 
@@ -213,7 +212,7 @@ def _parse_track(r: _Reader) -> Track:
 
 
 def parse_midi(data: bytes) -> MidiFile:
-    """Parse SMF bytes into a MidiFile, or raise a typed MidiError."""
+    """Parse SMF bytes into a MidiFile, or raise a typed DataError."""
     if len(data) < 4 or data[:4] != b"MThd":
         raise BadHeader("missing MThd chunk tag")
     if len(data) < 14:
@@ -266,7 +265,7 @@ def _validate(mf: MidiFile) -> None:
         if not track or not isinstance(track[-1].kind, EndOfTrack):
             raise InvariantViolation(f"track {t} does not end with EndOfTrack")
         for ev in track:
-            if not 0 <= ev.delta <= DELTA_MAX:
+            if not 0 <= ev.delta <= VLQ_MAX:
                 raise InvariantViolation(f"track {t}: delta {ev.delta} out of range")
             if isinstance(ev.kind, EndOfTrack) and ev is not track[-1]:
                 raise InvariantViolation(f"track {t}: EndOfTrack before final event")

@@ -22,7 +22,6 @@ from .errors import (
     EmptyDataset,
     TrainingDiverged,
     UsageError,
-    VocabMismatch,
 )
 from .lstm import ModelConfig, ModelParams, model_backward, model_forward
 from .numerics import (
@@ -116,13 +115,6 @@ class TrainResult:
     holdout_metrics: MetricsRow | None = None
 
 
-def _check_vocabs(config: ModelConfig, note_vocab: Vocabulary, dur_vocab: Vocabulary) -> None:
-    if len(note_vocab) != config.note_vocab_size or len(dur_vocab) != config.dur_vocab_size:
-        raise VocabMismatch(
-            f"model expects vocab sizes {config.note_vocab_size}/{config.dur_vocab_size}, "
-            f"corpus has {len(note_vocab)}/{len(dur_vocab)}")
-
-
 def _gather(dataset: Dataset, windows: list[tuple[int, int]]):
     """Stack windows into (B, L) id arrays plus (B,) targets."""
     L = dataset.window_len
@@ -175,7 +167,6 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
     ``out_dir`` is given. ``on_epoch`` is called with each MetricsRow.
     """
     config.validate()
-    _check_vocabs(config.model, note_vocab, dur_vocab)
     windows, _ = make_windows(dataset)
     if not windows:
         raise EmptyDataset("no training windows (songs shorter than window + 1?)")
@@ -188,6 +179,7 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
     shuffle_rng = Rng(derive_seed(config.seed, "shuffle"))
     dropout_rng = Rng(derive_seed(config.seed, "dropout"))
     params = ModelParams.init(config.model, init_rng)
+    params.check_vocabs(note_vocab, dur_vocab)
     grads = params.zeros_like()
     adam = AdamState(np.zeros(params.flat.size), np.zeros(params.flat.size))
 
@@ -207,7 +199,7 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
             batch = order[start:start + batch_size]
             note_w, dur_w, note_t, dur_t = _gather(dataset, batch)
             note_probs, dur_probs, cache = model_forward(
-                note_w, dur_w, params, config.model, train=True, rng=dropout_rng)
+                note_w, dur_w, params, train=True, rng=dropout_rng, dropout=config.model.dropout)
             loss = _add_batch_stats(totals, note_probs, dur_probs, note_t, dur_t)
 
             named = model_backward(cache, note_t, dur_t, params, grads)
@@ -236,29 +228,29 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
 
     holdout_row = None
     if held:
-        holdout_row = _evaluate_windows(params, config.model, dataset, held, config.epochs)
+        holdout_row = _evaluate_windows(params, dataset, held, config.epochs)
     return TrainResult(params, metrics, checkpoint_paths, holdout_row)
 
 
-def _evaluate_windows(params: ModelParams, model_config: ModelConfig, dataset: Dataset,
+def _evaluate_windows(params: ModelParams, dataset: Dataset,
                       windows: list[tuple[int, int]], epoch: int) -> MetricsRow:
     totals = [0.0, 0.0, 0, 0]
     for start in range(0, len(windows), EVAL_BATCH):
         batch = windows[start:start + EVAL_BATCH]
         note_w, dur_w, note_t, dur_t = _gather(dataset, batch)
-        note_probs, dur_probs, _ = model_forward(note_w, dur_w, params, model_config)
+        note_probs, dur_probs, _ = model_forward(note_w, dur_w, params)
         _add_batch_stats(totals, note_probs, dur_probs, note_t, dur_t)
     return MetricsRow.from_totals(epoch, totals, len(windows))
 
 
-def evaluate(params: ModelParams, model_config: ModelConfig, dataset: Dataset,
-             note_vocab: Vocabulary, dur_vocab: Vocabulary, epoch: int = 0) -> MetricsRow:
+def evaluate(params: ModelParams, dataset: Dataset, note_vocab: Vocabulary,
+             dur_vocab: Vocabulary, epoch: int = 0) -> MetricsRow:
     """Teacher-forced next-token accuracy and note perplexity, infer mode."""
-    _check_vocabs(model_config, note_vocab, dur_vocab)
+    params.check_vocabs(note_vocab, dur_vocab)
     windows, _ = make_windows(dataset)
     if not windows:
         raise EmptyDataset("no windows to evaluate")
-    return _evaluate_windows(params, model_config, dataset, windows, epoch)
+    return _evaluate_windows(params, dataset, windows, epoch)
 
 
 # --- checkpoint format ---
@@ -331,6 +323,7 @@ def load_checkpoint(path) -> Checkpoint:
         params = ModelParams.zeros(config.model)
         note_vocab = Vocabulary(header["note_vocab"])
         dur_vocab = Vocabulary(header["dur_vocab"])
+        params.check_vocabs(note_vocab, dur_vocab)
         epoch, final_loss = header["epoch"], header["final_loss"]
     except (ValueError, KeyError, TypeError, DataError) as exc:
         raise BadCheckpoint(f"bad checkpoint header: {exc!r}") from None

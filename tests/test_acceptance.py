@@ -68,7 +68,7 @@ def test_criterion_2_overfit_memorization():
         epochs=120, batch_size=16, lr=1e-3, optimizer="adam", seed=11,
         checkpoint_every=0)
     result = train(dataset, config, note_vocab, dur_vocab)
-    row = evaluate(result.params, config.model, dataset, note_vocab, dur_vocab)
+    row = evaluate(result.params, dataset, note_vocab, dur_vocab)
     elapsed = time.time() - start
     report(2, "single-song memorization reaches 95% on both heads",
            row.note_acc >= 0.95 and row.dur_acc >= 0.95 and elapsed < 600.0,
@@ -214,7 +214,7 @@ def test_criterion_8_untrained_perplexity(midi_dir, tmp_path):
     config = ModelConfig(len(note_vocab), len(dur_vocab), hidden_sizes=(64, 64),
                          dropout=0.0, window_len=10)
     params = ModelParams.init(config, Rng(80))
-    row = evaluate(params, config, dataset, note_vocab, dur_vocab)
+    row = evaluate(params, dataset, note_vocab, dur_vocab)
     n = len(note_vocab)
     report(8, "fresh model note perplexity sits within 20% of note vocab size",
            abs(row.note_ppl - n) / n < 0.2,

@@ -10,7 +10,7 @@ import pytest
 
 from midilstm import cli
 from midilstm.cli import build_parser, main
-from midilstm.corpus import load_corpus
+from midilstm.corpus import Vocabulary, load_corpus, save_corpus
 from midilstm.midi_io import parse_midi
 from midilstm.numerics import Rng
 from midilstm.score import events_to_piece
@@ -89,6 +89,25 @@ class TestIngest:
         manifest = json.loads((out / "ingest_manifest.json").read_text())
         assert manifest["skipped_files"] == 2
         assert len(manifest["inputs"]) == len(pieces)
+
+    @pytest.mark.parametrize("setting", ["grid=0", "window_len=0", "max_dur=0", "max_dur=-3",
+                                         "config:grid=0", "config:max_dur=0"])
+    def test_setting_below_one_is_usage_error(self, tmp_path, midi_dir, capsys, setting):
+        d, _ = midi_dir
+        out = tmp_path / "o"
+        via, _, text = setting.rpartition(":")
+        key, value = text.split("=")
+        if via:
+            config = tmp_path / "ingest.cfg"
+            config.write_text(f"{key} = {value}\n")
+            flags = ["--config", str(config)]
+        else:
+            flags = ["--" + key.replace("_", "-"), value]
+        assert main(["ingest", "--midi-dir", str(d), "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} {value} must be >= 1" in err
+        assert "warning" not in err  # no MIDI file was read
+        assert not out.exists()
 
     def test_nondefault_grid_recorded(self, tmp_path, midi_dir):
         d, _ = midi_dir
@@ -615,6 +634,46 @@ def test_no_module_reads_the_environment():
                for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                if re.search(r"environ|getenv", line)]
     assert readers == []
+
+
+def header_vocab_checkpoint(run, change):
+    """The pipeline's checkpoint and a corpus whose note vocabulary equals
+    the header's, with the header's note list changed; the model's note
+    head keeps its width."""
+    ckpt = load_checkpoint(run / "checkpoint.bin")
+    corpus = load_corpus(run / "corpus.txt")
+    tokens = list(ckpt.note_vocab.tokens)
+    if change.startswith("+"):  # MIDI keys 0, 1, ... are not in the test corpus
+        new = [str(k) for k in range(int(change))]
+        corpus.songs.append((new, [ckpt.dur_vocab.tokens[0]] * len(new)))
+        header = tokens + new
+    else:  # the last token is gone from the corpus, or listed as the first again
+        gone = tokens[-1]
+        corpus.songs = [([tokens[0] if t == gone else t for t in notes], durs)
+                        for notes, durs in corpus.songs]
+        header = tokens[:-1] + ([tokens[0]] if change == "repeated" else [])
+    path, corpus_path = run / "header.bin", run / "header_corpus.txt"
+    # save_checkpoint writes the note list as given, so a repeat reaches the file
+    listed = Vocabulary(header)
+    listed.tokens = tuple(header)
+    save_checkpoint(path, ckpt.params, ckpt.config, listed, ckpt.dur_vocab, ckpt.epoch,
+                    ckpt.final_loss)
+    save_corpus(corpus_path, corpus)
+    return path, corpus_path
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+@pytest.mark.parametrize("change", ["+1", "+8", "-1", "repeated"])
+def test_header_vocabulary_that_does_not_fit_the_model_is_data_error(pipeline, capsys,
+                                                                     command, change):
+    ckpt, corpus = header_vocab_checkpoint(pipeline, change)
+    out = pipeline / "gen"
+    argv = [command, "--checkpoint", str(ckpt), "--corpus", str(corpus)]
+    assert main(argv + (["--out", str(out)] if command == "generate" else [])) == 2
+    captured = capsys.readouterr()
+    assert "BadCheckpoint" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestFuzz:

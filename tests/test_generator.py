@@ -3,7 +3,8 @@ import pytest
 
 from conftest import looped_song, song_dataset
 from midilstm import generator
-from midilstm.errors import BadToken, CorpusTooShort
+from midilstm.corpus import Vocabulary
+from midilstm.errors import BadToken, CorpusTooShort, VocabMismatch
 from midilstm.generator import GenConfig, GenResult, emit, generate, pick_seed
 from midilstm.lstm import ModelConfig, ModelParams, heads, model_forward
 from midilstm.numerics import Rng
@@ -62,8 +63,18 @@ class TestGenerate:
     def test_every_token_in_vocabulary(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
         result = generate(params, nv, dv, sn, sd, GenConfig(length=50), Rng(2))
-        assert all(t in nv for t in result.notes)
-        assert all(d in dv for d in result.durs)
+        assert all(t in nv.tokens for t in result.notes)
+        assert all(d in dv.tokens for d in result.durs)
+
+    @pytest.mark.parametrize("which", ["note", "duration"])
+    def test_vocabulary_that_does_not_fit_the_heads(self, which):
+        params, config, nv, dv, sn, sd, _ = setup_model()
+        if which == "note":
+            nv = Vocabulary([*nv.tokens, "0"])  # key 0 is not in the song
+        else:
+            dv = Vocabulary(dv.tokens[:-1])
+        with pytest.raises(VocabMismatch):
+            generate(params, nv, dv, sn, sd, GenConfig(length=5), Rng(1))
 
     def test_deterministic(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
@@ -124,8 +135,8 @@ class TestWavefront:
         L = len(sn)
         assert len(rows) == length
         for u, got in enumerate(rows):  # the window of token u + L
-            want = model_forward(np.array(notes[u:u + L]), np.array(durs[u:u + L]),
-                                 params, config)[:2]
+            want = model_forward(np.array([notes[u:u + L]]), np.array([durs[u:u + L]]),
+                                 params)[:2]
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 

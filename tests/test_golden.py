@@ -69,7 +69,7 @@ def write_fixtures(out: Path) -> None:
     trained_dir.rmdir()
     params = load_checkpoint(out / "golden_init.bin").params
     note_probs, dur_probs, _ = model_forward(np.array(WINDOW[0]), np.array(WINDOW[1]),
-                                             params, config.model)
+                                             params)
     np.savez(out / "golden_probs.npz", note=note_probs, dur=dur_probs)
     (out / "golden_song.tokens").write_text(
         "".join(format_song(r.notes, r.durs) + "\n" for r in golden_songs(out / "golden_trained.bin")),
@@ -95,7 +95,7 @@ def test_same_seed_initialises_same_weights():
 def test_head_probabilities_match():
     ckpt = load_checkpoint(DATA / "golden_init.bin")
     note_probs, dur_probs, _ = model_forward(np.array(WINDOW[0]), np.array(WINDOW[1]),
-                                             ckpt.params, ckpt.config.model)
+                                             ckpt.params)
     golden = np.load(DATA / "golden_probs.npz")
     assert np.max(np.abs(note_probs - golden["note"])) < 1e-12
     assert np.max(np.abs(dur_probs - golden["dur"])) < 1e-12

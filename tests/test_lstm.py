@@ -103,7 +103,7 @@ class TestCellForward:
         config = small_config(hidden_sizes=(8, 8))
         params = ModelParams.init(config, rng)
         note, dur, _, _ = random_inputs(config, rng)
-        _, _, cache = model_forward(note, dur, params, config, train=True)
+        _, _, cache = model_forward(note, dur, params, train=True, dropout=config.dropout)
         assert len(cache.layers) == 2
         for layer in cache.layers:
             # columns: forget, input, output (sigmoid), then candidate (tanh)
@@ -123,8 +123,8 @@ class TestModelForward:
         config = small_config(hidden_sizes=(8, 8), dropout=0.3)
         params = ModelParams.init(config, rng)
         note, dur, _, _ = random_inputs(config, rng)
-        a = model_forward(note, dur, params, config)
-        b = model_forward(note, dur, params, config)
+        a = model_forward(note, dur, params)
+        b = model_forward(note, dur, params)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
@@ -133,8 +133,8 @@ class TestModelForward:
         config = small_config(hidden_sizes=(8, 8), dropout=0.0)
         params = ModelParams.init(config, rng)
         note, dur, _, _ = random_inputs(config, rng)
-        train_out = model_forward(note, dur, params, config, train=True, rng=Rng(1))
-        infer_out = model_forward(note, dur, params, config)
+        train_out = model_forward(note, dur, params, train=True, rng=Rng(1), dropout=config.dropout)
+        infer_out = model_forward(note, dur, params)
         assert np.array_equal(train_out[0], infer_out[0])
         assert np.array_equal(train_out[1], infer_out[1])
 
@@ -143,7 +143,7 @@ class TestModelForward:
         config = small_config(hidden_sizes=(8, 12, 8), window_len=7)
         params = ModelParams.init(config, rng)
         note, dur, _, _ = random_inputs(config, rng, batch=16)
-        got = model_forward(note, dur, params, config)
+        got = model_forward(note, dur, params)
         for g, w in zip(got, full_buffer_infer(note, dur, params, config)):
             assert np.array_equal(g, w)
 
@@ -155,7 +155,7 @@ class TestModelForward:
         note, dur, _, _ = random_inputs(config, Rng(62), batch=B)
         tracemalloc.start()
         try:
-            model_forward(note, dur, params, config)
+            model_forward(note, dur, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -169,8 +169,8 @@ class TestModelForward:
         config = small_config(hidden_sizes=(8, 8), dropout=0.5)
         params = ModelParams.init(config, rng)
         note, dur, _, _ = random_inputs(config, rng)
-        a = model_forward(note, dur, params, config, train=True, rng=Rng(1))
-        b = model_forward(note, dur, params, config)
+        a = model_forward(note, dur, params, train=True, rng=Rng(1), dropout=config.dropout)
+        b = model_forward(note, dur, params)
         assert not np.array_equal(a[0], b[0])
 
     def test_output_rows_sum_to_one(self):
@@ -178,7 +178,7 @@ class TestModelForward:
         config = small_config(hidden_sizes=(8,))
         params = ModelParams.init(config, rng)
         note, dur, _, _ = random_inputs(config, rng, batch=5)
-        note_probs, dur_probs, _ = model_forward(note, dur, params, config)
+        note_probs, dur_probs, _ = model_forward(note, dur, params)
         assert note_probs.shape == (5, config.note_vocab_size)
         assert dur_probs.shape == (5, config.dur_vocab_size)
         assert np.max(np.abs(note_probs.sum(axis=1) - 1.0)) < 1e-12
@@ -191,7 +191,7 @@ class TestModelForward:
         note = np.array([[0, 1, 2, config.note_vocab_size]])
         dur = np.array([[0, 1, 2, 3]])
         with pytest.raises(IndexOutOfRange):
-            model_forward(note, dur, params, config)
+            model_forward(note, dur, params)
 
     def test_forget_bias_initialized_to_one(self):
         params = ModelParams.init(small_config(), Rng(67))
@@ -202,7 +202,7 @@ class TestModelForward:
 
 def finite_diff_grads(params, config, note, dur, note_t, dur_t, step=1e-5):
     def loss():
-        np_, dp_, _ = model_forward(note, dur, params, config, train=True)
+        np_, dp_, _ = model_forward(note, dur, params, train=True, dropout=config.dropout)
         rows = np.arange(note_t.shape[0])
         return float(np.sum(-np.log(np_[rows, note_t] + 1e-12)
                             - np.log(dp_[rows, dur_t] + 1e-12)))
@@ -228,7 +228,7 @@ class TestBackward:
         rng = Rng(seed)
         params = ModelParams.init(config, rng)
         note, dur, note_t, dur_t = random_inputs(config, rng, batch=batch)
-        _, _, cache = model_forward(note, dur, params, config, train=True)
+        _, _, cache = model_forward(note, dur, params, train=True, dropout=config.dropout)
         analytic = model_backward(cache, note_t, dur_t, params)
         numeric = finite_diff_grads(params, config, note, dur, note_t, dur_t)
         for name, _ in params.named_params():
@@ -256,7 +256,7 @@ class TestBackward:
         params.b_dur[...] = 0.0
         params.b_note[0, note_t[0]] = 50.0
         params.b_dur[0, dur_t[0]] = 50.0
-        _, _, cache = model_forward(note, dur, params, config, train=True)
+        _, _, cache = model_forward(note, dur, params, train=True, dropout=config.dropout)
         grads = model_backward(cache, note_t, dur_t, params)
         assert np.max(np.abs(grads["head_note.b"])) < 1e-9
         assert np.max(np.abs(grads["head_dur.b"])) < 1e-9
@@ -266,11 +266,11 @@ class TestBackward:
         config = small_config()
         params = ModelParams.init(config, rng)
         note, dur, note_t, dur_t = random_inputs(config, rng)
-        _, _, cache1 = model_forward(note, dur, params, config, train=True)
+        _, _, cache1 = model_forward(note, dur, params, train=True, dropout=config.dropout)
         g1 = model_backward(cache1, note_t, dur_t, params)
         note2 = np.vstack([note, note])
         dur2 = np.vstack([dur, dur])
-        _, _, cache2 = model_forward(note2, dur2, params, config, train=True)
+        _, _, cache2 = model_forward(note2, dur2, params, train=True, dropout=config.dropout)
         g2 = model_backward(cache2, np.repeat(note_t, 2), np.repeat(dur_t, 2), params)
         for name, _ in params.named_params():
             assert np.allclose(g2[name], 2.0 * g1[name], rtol=1e-12, atol=1e-12)
@@ -280,10 +280,10 @@ class TestBackward:
         config = small_config()
         params = ModelParams.init(config, rng)
         note, dur, note_t, dur_t = random_inputs(config, rng)
-        _, _, cache = model_forward(note, dur, params, config, train=True)
+        _, _, cache = model_forward(note, dur, params, train=True, dropout=config.dropout)
         g1 = model_backward(cache, note_t, dur_t, params)
         other_dur_t = (dur_t + 1) % config.dur_vocab_size
-        _, _, cache = model_forward(note, dur, params, config, train=True)
+        _, _, cache = model_forward(note, dur, params, train=True, dropout=config.dropout)
         g2 = model_backward(cache, note_t, other_dur_t, params)
         assert np.array_equal(g1["head_note.w"], g2["head_note.w"])
         assert np.array_equal(g1["head_note.b"], g2["head_note.b"])
@@ -297,7 +297,7 @@ class TestBackward:
         config = small_config()
         params = ModelParams.init(config, rng)
         note, dur, note_t, dur_t = random_inputs(config, rng)
-        _, _, cache = model_forward(note, dur, params, config, train=False)
+        _, _, cache = model_forward(note, dur, params, train=False)
         with pytest.raises(StaleCache):
             model_backward(cache, note_t, dur_t, params)
 
@@ -306,9 +306,9 @@ class TestBackward:
         config = small_config(hidden_sizes=(8, 6))
         params = ModelParams.init(config, rng)
         note, dur, note_t, dur_t = random_inputs(config, rng)
-        _, _, cache = model_forward(note, dur, params, config, train=False)
+        _, _, cache = model_forward(note, dur, params, train=False)
         assert cache.layers == []  # infer mode keeps no per-step state
-        _, _, cache = model_forward(note, dur, params, config, train=True)
+        _, _, cache = model_forward(note, dur, params, train=True, dropout=config.dropout)
         model_backward(cache, note_t, dur_t, params)
         with pytest.raises(StaleCache):
             model_backward(cache, note_t, dur_t, params)
@@ -319,11 +319,12 @@ class TestBackward:
         rng = Rng(101)
         params = ModelParams.init(config, rng)
         note, dur, note_t, dur_t = random_inputs(config, rng)
-        _, _, cache = model_forward(note, dur, params, config, train=True, rng=Rng(5))
+        _, _, cache = model_forward(note, dur, params, train=True, rng=Rng(5), dropout=config.dropout)
         analytic = model_backward(cache, note_t, dur_t, params)
 
         def loss():
-            np_, dp_, _ = model_forward(note, dur, params, config, train=True, rng=Rng(5))
+            np_, dp_, _ = model_forward(note, dur, params, train=True, rng=Rng(5),
+                                        dropout=config.dropout)
             return float(-np.log(np_[0, note_t[0]] + 1e-12) - np.log(dp_[0, dur_t[0]] + 1e-12))
 
         step = 1e-5

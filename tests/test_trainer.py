@@ -64,7 +64,7 @@ class TestTrain:
     def test_memorizes_tiny_song(self):
         dataset, config, nv, dv = tiny_setup(epochs=60, hidden=(32,))
         result = train(dataset, config, nv, dv)
-        row = evaluate(result.params, config.model, dataset, nv, dv)
+        row = evaluate(result.params, dataset, nv, dv)
         assert row.note_acc >= 0.9
         assert row.dur_acc >= 0.9
 
@@ -144,21 +144,21 @@ class TestEvaluate:
     def test_fresh_model_note_perplexity_near_vocab_size(self):
         dataset, config, nv, dv = tiny_setup(hidden=(32,))
         params = ModelParams.init(config.model, Rng(1))
-        row = evaluate(params, config.model, dataset, nv, dv)
+        row = evaluate(params, dataset, nv, dv)
         n = len(nv)
         assert abs(row.note_ppl - n) / n < 0.2
 
     def test_deterministic(self):
         dataset, config, nv, dv = tiny_setup()
         params = ModelParams.init(config.model, Rng(2))
-        assert evaluate(params, config.model, dataset, nv, dv) == \
-            evaluate(params, config.model, dataset, nv, dv)
+        assert evaluate(params, dataset, nv, dv) == \
+            evaluate(params, dataset, nv, dv)
 
     def test_single_window_accuracy_is_zero_or_one(self):
         notes, durs = looped_song(3, n_tokens=11, period=5, n_pitches=4)
         nv, dv, dataset = song_dataset([(notes, durs)], 10)
         config = ModelConfig(len(nv), len(dv), hidden_sizes=(8,), dropout=0.0, window_len=10)
-        row = evaluate(ModelParams.init(config, Rng(3)), config, dataset, nv, dv)
+        row = evaluate(ModelParams.init(config, Rng(3)), dataset, nv, dv)
         assert row.note_acc in (0.0, 1.0)
         assert row.dur_acc in (0.0, 1.0)
 
