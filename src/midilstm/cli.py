@@ -344,11 +344,15 @@ def _write_songs(out_dir: Path, stem: str, params, note_vocab, dur_vocab,
 
 
 def _load_model_and_corpus(args):
-    """Checkpoint, corpus and encoded dataset, checked to share vocabularies."""
+    """Checkpoint, corpus and encoded dataset, checked to share vocabularies
+    and the window length."""
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus)
     if corpus.build_vocabs() != (ckpt.note_vocab, ckpt.dur_vocab):
         raise VocabMismatch("corpus vocabularies differ from the checkpoint's")
+    if corpus.window_len != ckpt.config.model.window_len:
+        raise VocabMismatch(f"corpus L {corpus.window_len} != checkpoint window_len "
+                            f"{ckpt.config.model.window_len}")
     return ckpt, corpus, corpus.to_dataset(ckpt.note_vocab, ckpt.dur_vocab)
 
 

@@ -25,7 +25,10 @@ layer 0's input term is the sum of two rows of ``w[H:]``: the note rows
 gathered for all L steps at once, the duration rows step by step. Upper
 layers' input terms are one product over all L*B rows, and the backward
 pass forms each layer's weight gradients from all timesteps at once: only
-the h -> h recurrence runs step by step.
+the h -> h recurrence runs step by step. The train-mode cache holds each
+layer's activated gates, h and dropout keep mask, but no cell states: the
+backward pass rebuilds one layer's c at a time from its gates, and releases
+each layer's cache once it has passed it.
 ``step_rows`` is the other way through the same cell: it advances a batch
 of windows that all read the same token by one step, which is how the
 generator runs its windows in flight; both paths end in ``heads``.
@@ -168,10 +171,9 @@ class ModelParams:
 
 
 @dataclass
-class LayerCache:
+class LayerCache:  # no cell states: the backward pass rebuilds them from the gates
     acts: np.ndarray  # (L, B, 4H) activated gates, COLUMNS order
     h: np.ndarray  # (L+1, B, H) hidden states, h[0] = 0
-    c: np.ndarray  # (L+1, B, H) cell states, c[0] = 0
     keep: np.ndarray | None  # (L, B, H) dropout keep mask on h, None if not dropped
 
 
@@ -180,7 +182,7 @@ class ForwardCache:
     dropout: float  # the rate applied, 0.0 in infer mode
     note_ids: np.ndarray
     dur_ids: np.ndarray
-    layers: list[LayerCache]  # empty in infer mode and once backward has run
+    layers: list[LayerCache]  # empty in infer mode and from the start of backward
     h_final: np.ndarray
     note_probs: np.ndarray
     dur_probs: np.ndarray
@@ -264,7 +266,6 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
         x = h = None  # unless the cache holds them, free the layer below's h
         h = np.zeros((L + 1, B, H))
         c = np.zeros((B, H))
-        c_all = np.zeros((L + 1, B, H)) if train else None
         for t in range(L):
             if first:
                 acts[t] += w_x[nv + dur_ids[:, t]]
@@ -272,11 +273,9 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
             if t:
                 acts[t] += matmul(h[t], w_h)
             h[t + 1], c = cell_forward(acts[t], c)
-            if train:
-                c_all[t + 1] = c
         x = _dropped(h[1:], keep, drop)
         if train:
-            layers.append(LayerCache(acts=acts, h=h, c=c_all, keep=keep))
+            layers.append(LayerCache(acts=acts, h=h, keep=keep))
         acts = None  # and this layer's pre-activations, before the next layer's
 
     h_top = x[-1].copy()  # a view would pin all of h
@@ -320,9 +319,11 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
     for the batch-summed loss CE_note + CE_dur as views of ``grads``, which
     the pass overwrites (a new ``params.zeros_like()`` when not given).
 
-    The pass consumes the cache: each layer's gate activations are
-    overwritten with their gradients, and the cache is emptied at the end,
-    so it backs exactly one backward pass.
+    The pass consumes the cache, so it backs exactly one pass, failed or
+    not: it empties ``cache.layers`` before any work, rebuilds each layer's
+    cell states from its gates in ``cell_forward``'s operation order (so
+    bit for bit), overwrites the gates with their gradients, and releases
+    the layer once its weight gradients and input gradient are done.
     """
     if not cache.layers:
         raise StaleCache("backward needs the unused cache of a train-mode forward pass")
@@ -331,6 +332,7 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
     B = cache.h_final.shape[0]
     if note_targets.shape[0] != B or dur_targets.shape[0] != B:
         raise ShapeMismatch("target count does not match batch size")
+    layers, cache.layers = cache.layers, []
     rows = np.arange(B)
     L = cache.note_ids.shape[1]
     nv = params.w_note.shape[1]
@@ -351,9 +353,13 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
     dh_head = matmul(dlog_note, params.w_note.T) + matmul(dlog_dur, params.w_dur.T)
     dh_in = None
     for li in range(len(params.layers) - 1, -1, -1):
-        layer, lc, grad = params.layers[li], cache.layers[li], grads.layers[li]
+        layer, lc, grad = params.layers[li], layers[li], grads.layers[li]
         H = layer.hidden_size
         w_h, w_x = layer.w[:H], layer.w[H:]
+        c = np.zeros((L + 1, B, H))
+        for t in range(L):  # c = f * c_prev + i * g, as in cell_forward
+            np.multiply(lc.acts[t, :, :H], c[t], out=c[t + 1])
+            c[t + 1] += lc.acts[t, :, H:2 * H] * lc.acts[t, :, 3 * H:]
         dh = dh_head if dh_in is None else np.zeros((B, H))
         dc = np.zeros((B, H))
         for t in range(L - 1, -1, -1):
@@ -361,9 +367,9 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
                 dh += dh_in[t]
             a = lc.acts[t]
             f, i, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-            tanh_c = np.tanh(lc.c[t + 1])
+            tanh_c = np.tanh(c[t + 1])
             dc += dh * o * (1.0 - tanh_c ** 2)
-            d_f = dc * lc.c[t] * f * (1.0 - f)
+            d_f = dc * c[t] * f * (1.0 - f)
             d_i = dc * g * i * (1.0 - i)
             d_o = dh * tanh_c * o * (1.0 - o)
             d_g = dc * i * (1.0 - g ** 2)
@@ -372,6 +378,7 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
             if t:
                 dh = matmul(a, w_h.T)
 
+        c = None  # before the weight-gradient products allocate
         d_acts = lc.acts.reshape(L * B, 4 * H)
         grad.w[:H] = matmul(lc.h[:-1].reshape(L * B, H).T, d_acts)
         grad.b[...] = d_acts.sum(axis=0, keepdims=True)
@@ -384,7 +391,7 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
                 grad_x[n] += row
                 grad_x[nv + d] += row
             break
-        below = cache.layers[li - 1]
+        below = layers[li - 1]
         x = _dropped(below.h[1:], below.keep, cache.dropout)
         grad.w[H:] = matmul(x.reshape(L * B, -1).T, d_acts)
         x = dh_in = None  # free both before allocating the next dh_in
@@ -392,8 +399,8 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
         if below.keep is not None:
             dh_in *= below.keep
             dh_in *= 1.0 / (1.0 - cache.dropout)
+        layers[li] = lc = a = f = i = o = g = d_acts = None  # release; a view pins acts
 
-    cache.layers = []
     return dict(grads.named_params())
 
 

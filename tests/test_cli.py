@@ -639,9 +639,14 @@ def test_no_module_reads_the_environment():
 def header_vocab_checkpoint(run, change):
     """The pipeline's checkpoint and a corpus whose note vocabulary equals
     the header's, with the header's note list changed; the model's note
-    head keeps its width."""
+    head keeps its width. For ``L=14``, the pipeline's checkpoint, trained
+    at L=10, and its corpus with the header's window length changed."""
     ckpt = load_checkpoint(run / "checkpoint.bin")
     corpus = load_corpus(run / "corpus.txt")
+    if change == "L=14":
+        corpus.window_len = 14
+        save_corpus(run / "header_corpus.txt", corpus)
+        return run / "checkpoint.bin", run / "header_corpus.txt"
     tokens = list(ckpt.note_vocab.tokens)
     if change.startswith("+"):  # MIDI keys 0, 1, ... are not in the test corpus
         new = [str(k) for k in range(int(change))]
@@ -663,7 +668,7 @@ def header_vocab_checkpoint(run, change):
 
 
 @pytest.mark.parametrize("command", ["generate", "eval"])
-@pytest.mark.parametrize("change", ["+1", "+8", "-1", "repeated"])
+@pytest.mark.parametrize("change", ["+1", "+8", "-1", "repeated", "L=14"])
 def test_header_vocabulary_that_does_not_fit_the_model_is_data_error(pipeline, capsys,
                                                                      command, change):
     ckpt, corpus = header_vocab_checkpoint(pipeline, change)
@@ -671,7 +676,7 @@ def test_header_vocabulary_that_does_not_fit_the_model_is_data_error(pipeline, c
     argv = [command, "--checkpoint", str(ckpt), "--corpus", str(corpus)]
     assert main(argv + (["--out", str(out)] if command == "generate" else [])) == 2
     captured = capsys.readouterr()
-    assert "BadCheckpoint" in captured.err
+    assert ("VocabMismatch" if change == "L=14" else "BadCheckpoint") in captured.err
     assert captured.out == ""
     assert not out.exists()
 

@@ -1,8 +1,10 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from midilstm import lstm
 from midilstm.errors import IndexOutOfRange, ShapeMismatch, StaleCache, UsageError
 from midilstm.lstm import (
     LstmLayerParams,
@@ -312,6 +314,98 @@ class TestBackward:
         model_backward(cache, note_t, dur_t, params)
         with pytest.raises(StaleCache):
             model_backward(cache, note_t, dur_t, params)
+
+    @pytest.mark.parametrize("fail_at", ["third", "next_to_last"])
+    def test_backward_that_fails_part_way_leaves_a_stale_cache(self, monkeypatch, fail_at):
+        rng = Rng(103)
+        config = small_config(hidden_sizes=(8, 6))
+        params = ModelParams.init(config, rng)
+        note, dur, note_t, dur_t = random_inputs(config, rng)
+        _, _, spare = model_forward(note, dur, params, train=True, dropout=config.dropout)
+        _, _, cache = model_forward(note, dur, params, train=True, dropout=config.dropout)
+        calls = []
+        real = lstm.matmul
+
+        def counting(a, b):
+            calls.append(None)
+            if len(calls) == stop:
+                raise RuntimeError("injected failure")
+            return real(a, b)
+
+        stop = 0
+        monkeypatch.setattr(lstm, "matmul", counting)
+        model_backward(spare, note_t, dur_t, params)
+        # the next-to-last call is a recurrent product of layer 0, after
+        # layer 1's entry has been released
+        stop = {"third": 3, "next_to_last": len(calls) - 1}[fail_at]
+        calls.clear()
+        with pytest.raises(RuntimeError):
+            model_backward(cache, note_t, dur_t, params)
+        assert len(calls) == stop
+        with pytest.raises(StaleCache):
+            model_backward(cache, note_t, dur_t, params)
+
+    def test_backward_releases_each_layer_once_past_it(self, monkeypatch):
+        sizes = (8, 6, 4)  # distinct, so a recurrent product's weight names its layer
+        config = small_config(hidden_sizes=sizes, dropout=0.3)
+        rng = Rng(113)
+        params = ModelParams.init(config, rng)
+        note, dur, note_t, dur_t = random_inputs(config, rng, batch=2)
+        _, _, cache = model_forward(note, dur, params, train=True, rng=Rng(5),
+                                    dropout=config.dropout)
+
+        def owner(a):  # the array that owns the memory, which any view keeps alive
+            while a.base is not None:
+                a = a.base
+            return weakref.ref(a)
+
+        refs = [owner(a) for lc in cache.layers for a in (lc.acts, lc.h)]
+        turns = []
+        real = lstm.matmul
+
+        def watching(a, b):
+            for k, H in enumerate(sizes):
+                if b.shape == (4 * H, H):  # layer k's recurrent product
+                    turns.append((k, [r() is not None for r in refs]))
+            return real(a, b)
+
+        monkeypatch.setattr(lstm, "matmul", watching)
+        model_backward(cache, note_t, dur_t, params)
+        assert {k for k, _ in turns} == {0, 1, 2}
+        for k, alive in turns:  # the acts and h of each layer at and below k, none above
+            assert alive == [j <= k for j in range(len(sizes)) for _ in "ah"], (k, alive)
+
+    def test_train_cache_holds_gates_h_and_keep_mask_only(self):
+        L, B, sizes = 5, 3, (8, 6, 4)
+        config = small_config(hidden_sizes=sizes, dropout=0.3, window_len=L)
+        params = ModelParams.init(config, Rng(107))
+        note, dur, _, _ = random_inputs(config, Rng(109), batch=B)
+        _, _, cache = model_forward(note, dur, params, train=True, rng=Rng(5),
+                                    dropout=config.dropout)
+        for k, (lc, H) in enumerate(zip(cache.layers, sizes)):
+            assert sorted(vars(lc)) == ["acts", "h", "keep"]
+            keep = L * B * H if k < len(sizes) - 1 else 0  # a byte per flag; top h is not dropped
+            arrays = [v for v in vars(lc).values() if isinstance(v, np.ndarray)]
+            assert sum(a.nbytes for a in arrays) == 8 * L * B * 4 * H + 8 * (L + 1) * B * H + keep
+
+    def test_train_step_peak_memory(self):
+        L, B, H = 20, 64, 64
+        config = small_config(note_vocab_size=30, dur_vocab_size=10, hidden_sizes=(H, H, H),
+                              window_len=L)
+        params = ModelParams.init(config, Rng(61))
+        grads = params.zeros_like()
+        note, dur, note_t, dur_t = random_inputs(config, Rng(62), batch=B)
+        tracemalloc.start()
+        try:
+            _, _, cache = model_forward(note, dur, params, train=True)
+            model_backward(cache, note_t, dur_t, params, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every layer's (L, B, 4H) gates and (L+1, B, H) hidden states, one
+        # layer's rebuilt (L+1, B, H) cell states and a few per-step (B, H)
+        # arrays; caching every layer's c took three (L+1, B, H) more
+        assert peak <= 8 * B * H * (3 * (4 * L + L + 1) + (L + 1) + 16)
 
     def test_dropout_backward_matches_finite_differences(self):
         # freeze one dropout pattern by replaying the same rng stream
