@@ -209,11 +209,6 @@ def cmd_ingest(args) -> int:
 
 def _train_config_from(cfg: dict, corpus: CorpusFile, note_vocab, dur_vocab,
                        seed: int) -> TrainConfig:
-    if cfg.get("grid") is not None and cfg["grid"] != corpus.grid:
-        raise VocabMismatch(f"config grid {cfg['grid']} != corpus grid {corpus.grid}")
-    if cfg.get("window_len") is not None and cfg["window_len"] != corpus.window_len:
-        raise VocabMismatch(
-            f"config window_len {cfg['window_len']} != corpus L {corpus.window_len}")
     model = ModelConfig(
         note_vocab_size=len(note_vocab),
         dur_vocab_size=len(dur_vocab),
@@ -227,11 +222,10 @@ def _train_config_from(cfg: dict, corpus: CorpusFile, note_vocab, dur_vocab,
     return config
 
 
-# the library's defaults; grid and window_len, when given, are checked against the corpus
+# the library's defaults; grid and window_len are the corpus header's
 _TRAIN_DEFAULTS = {
     **{f.name: f.default for f in fields(TrainConfig) if f.name not in ("model", "seed")},
     "hidden": ModelConfig.hidden_sizes, "dropout": ModelConfig.dropout,
-    "grid": None, "window_len": None,
 }
 
 
@@ -368,8 +362,9 @@ def cmd_generate(args) -> int:
     for path in files:
         if path.suffix == ".mid":
             print(f"wrote {path} ({gen_config.length} events)")
-    write_manifest(out, "generate", cfg, [args.checkpoint, args.corpus], files,
-                   args.seed, [f"sampling.{i}" for i in range(cfg["count"])],
+    write_manifest(out, "generate", cfg, [args.checkpoint, args.corpus], files, args.seed,
+                   (["seedwin"] if window_info["source"] == "random" else [])
+                   + [f"sampling.{i}" for i in range(cfg["count"])],
                    extra={"seed_window": window_info, "songs": songs})
     return EXIT_OK
 
@@ -402,10 +397,10 @@ def cmd_variants(args) -> int:
         # a comma starts a new item only before a key=, so hidden=8,8 is one item
         items = re.split(r",(?=[^,=]*=)", overrides_text) if overrides_text else []
         overrides = dict(_parse_setting(item, f"--variant {variant_text!r}") for item in items)
-        shared = sorted(overrides.keys() & _GEN_DEFAULTS.keys())
-        if shared:
-            raise UsageError(f"--variant {variant_text!r}: generation settings "
-                             f"({', '.join(shared)}) are shared by every variant")
+        untrained = sorted(overrides.keys() - _TRAIN_DEFAULTS.keys())
+        if untrained:
+            raise UsageError(f"--variant {variant_text!r}: a variant overrides training "
+                             f"settings only, not {', '.join(untrained)}")
         if any(name == other for other, _ in variants):
             raise UsageError(f"variant name {name!r} given twice")
         variants.append((name, _train_config_from(cfg | overrides, corpus, note_vocab,
@@ -430,6 +425,8 @@ def cmd_variants(args) -> int:
             "songs": songs,
             "final_loss": result.metrics[-1].loss if result.metrics else None,
         }
+        if result.holdout_metrics is not None:
+            entries[name]["holdout"] = asdict(result.holdout_metrics)
     for name, entry in sorted(entries.items()):
         loss = entry["final_loss"]
         loss_text = f"{loss:.4f}" if loss is not None else "n/a"

@@ -34,6 +34,8 @@ from .lstm import ModelParams, heads, step_rows
 from .numerics import Rng, softmax
 from .score import NoteEvent, Piece
 
+MIN_TEMPERATURE = 1e-300  # below ~4.2e-306, log(5e-324) / T overflows to -inf
+
 
 @dataclass
 class GenConfig:
@@ -45,8 +47,8 @@ class GenConfig:
     def validate(self) -> None:
         if self.length < 1:
             raise UsageError(f"length {self.length} must be >= 1")
-        if not 0 < self.temperature < math.inf:  # also rejects NaN
-            raise UsageError(f"temperature {self.temperature} must be finite and > 0")
+        if not MIN_TEMPERATURE <= self.temperature < math.inf:  # also rejects NaN
+            raise UsageError(f"temperature {self.temperature} outside [{MIN_TEMPERATURE}, inf)")
         if self.mode not in ("sample", "argmax"):
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.repeat_cap < 0:

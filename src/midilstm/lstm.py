@@ -203,8 +203,8 @@ def cell_forward(a: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _check_ids(ids: np.ndarray, size: int, what: str) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 2:
-        raise ShapeMismatch(f"{what} ids must be (B, L), got {ids.shape}")
+    if ids.ndim != 2 or not ids.shape[1]:
+        raise ShapeMismatch(f"{what} ids must be (B, L) with L >= 1, got {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= size):
         raise IndexOutOfRange(f"{what} id outside [0, {size})")
     return ids

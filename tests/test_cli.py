@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -152,11 +153,22 @@ class TestTrain:
         assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path)]) == 2
         assert "BadCorpusFile" in capsys.readouterr().err
 
-    def test_grid_mismatch_is_data_error(self, pipeline, tmp_path):
+    def test_grid_and_window_len_come_from_the_corpus_header(self, pipeline, tmp_path, capsys):
+        corpus, out = str(pipeline / "corpus.txt"), tmp_path / "t"
+        for command in ("train", "variants"):
+            for flag in ("--grid", "--window-len"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--corpus", corpus, "--out", str(out), flag, "4"])
+                assert exc.value.code == 1
+        assert not out.exists()
         cfg = tmp_path / "cfg"
-        cfg.write_text("grid = 4\n")
-        assert main(["train", "--corpus", str(pipeline / "corpus.txt"),
-                     "--out", str(tmp_path), "--config", str(cfg)]) == 2
+        cfg.write_text("grid = 4\nwindow_len = 7\n")
+        assert main(["train", "--corpus", corpus, "--out", str(out), "--config", str(cfg),
+                     *TRAIN_FLAGS]) == 0
+        assert load_checkpoint(out / "checkpoint.bin").config.model.window_len == 10
+        notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note")]
+        assert notes == [f"note: {cfg}: train ignores 'grid'",
+                         f"note: {cfg}: train ignores 'window_len'"]
 
     def test_config_file_and_flag_precedence(self, tmp_path, midi_dir):
         d, _ = midi_dir
@@ -250,6 +262,21 @@ class TestGenerate:
                      "--length", "10", "--seed-window", "0:3"]) == 0
         manifest = json.loads((out / "generate_manifest.json").read_text())
         assert manifest["seed_window"] == {"source": "explicit", "song": 0, "offset": 3}
+
+    @pytest.mark.parametrize("source", ["random", "explicit", "file"])
+    def test_manifest_lists_seedwin_for_a_random_window_only(self, pipeline, tmp_path, source):
+        seed_path = tmp_path / "seed.txt"
+        seed_path.write_text((pipeline / "corpus.txt").read_text().splitlines()[1] + "\n")
+        window = {"random": [], "explicit": ["--seed-window", "0:3"],
+                  "file": ["--seed-file", str(seed_path)]}[source]
+        out = pipeline / "gen"
+        assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                     "--corpus", str(pipeline / "corpus.txt"), "--out", str(out),
+                     "--count", "2", "--length", "5", *window]) == 0
+        manifest = json.loads((out / "generate_manifest.json").read_text())
+        assert manifest["seed_window"]["source"] == source
+        assert set(manifest["seeds"]) == {"master", "sampling.0", "sampling.1"} | \
+            ({"seedwin"} if source == "random" else set())
 
     def test_seed_file(self, pipeline, tmp_path):
         out = pipeline / "gen"
@@ -390,6 +417,32 @@ class TestVariants:
         assert self.variants(pipeline, out, "--variant", f"a:{key}={SETTINGS[key]}") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, named", [
+        ("max_dur=5", "max_dur"), ("grid=3", "grid"), ("window_len=5", "window_len"),
+        ("window_len=5,lr=0.01,max_dur=5,length=5", "length, max_dur, window_len"),
+    ], ids=["max_dur", "grid", "window_len", "mixed"])
+    def test_override_of_a_key_variants_does_not_train_with_is_usage_error(
+            self, pipeline, capsys, override, named):
+        out = pipeline / "var"
+        assert self.variants(pipeline, out, "--variant", f"a:{override}") == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.endswith(f"settings only, not {named}\n")
+
+    def test_manifest_lists_holdout_metrics(self, pipeline, capsys):
+        out = pipeline / "var"
+        assert self.variants(pipeline, out, "--count", "1", "--length", "5", "--holdout", "0.3",
+                             "--variant", "a:", "--variant", "b:holdout=0") == 0
+        entries = json.loads((out / "variants_manifest.json").read_text())["variants"]
+        assert "holdout" not in entries["b"]
+        held = entries["a"]["holdout"]
+        assert held["epoch"] == 2
+        # the same numbers a train run with a's config prints
+        assert main(["train", "--corpus", str(pipeline / "corpus.txt"), "--out", str(out / "t"),
+                     "--seed", "7", *TRAIN_FLAGS, "--holdout", "0.3"]) == 0
+        assert (f"holdout: loss {held['loss']:.4f}  note_acc {held['note_acc']:.3f}  "
+                f"dur_acc {held['dur_acc']:.3f}  note_ppl {held['note_ppl']:.2f}"
+                ) in capsys.readouterr().out.splitlines()
+
     def test_duplicate_variant_name_is_usage_error(self, pipeline):
         out = pipeline / "var"
         assert self.variants(pipeline, out, "--variant", "a:lr=0.001",
@@ -452,8 +505,7 @@ class TestChecks:
 # --out and one flag per config key they read
 _CONFIG_FLAGS = {"--seed", "--config", "--out"}
 _TRAIN_KEY_FLAGS = {"--epochs", "--batch-size", "--lr", "--optimizer", "--clip-norm",
-                    "--checkpoint-every", "--holdout", "--hidden", "--dropout", "--grid",
-                    "--window-len"}
+                    "--checkpoint-every", "--holdout", "--hidden", "--dropout"}
 _GEN_KEY_FLAGS = {"--count", "--length", "--temperature", "--mode", "--repeat-cap"}
 COMMAND_FLAGS = {
     "ingest": _CONFIG_FLAGS | {"--grid", "--window-len", "--max-dur", "--midi-dir"},
@@ -475,7 +527,7 @@ class TestUsage:
                         for a in p._actions if not isinstance(a, argparse._HelpAction)}
                  for name, p in sub.choices.items()}
         assert flags == COMMAND_FLAGS
-        assert sum(map(len, flags.values())) == 62
+        assert sum(map(len, flags.values())) == 58
 
     @pytest.mark.parametrize("command, extra", [
         (["eval", "--checkpoint", "k.bin", "--corpus", "c.txt"], ["--out", "o"]),
@@ -571,7 +623,7 @@ class TestUsage:
         assert not (pipeline / "var").exists()  # rejected before any training
 
     def test_bad_temperature_is_usage_error(self, pipeline):
-        for value in ("0", "nan", "inf"):
+        for value in ("0", "nan", "inf", "1e-320", "5e-324"):
             assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
                          "--corpus", str(pipeline / "corpus.txt"),
                          "--out", str(pipeline / "g"), "--temperature", value]) == 1, value
@@ -726,3 +778,24 @@ class TestFuzz:
                                   "--config", str(path), "--epochs", "0",
                                   "--out", str(tmp_path / "o")], seed=3)
         assert codes == {0, 1, 2}
+
+    def test_mutated_variant_override(self, pipeline, tmp_path):
+        golden = b"a:hidden=4,4,lr=0.01,dropout=0.1"
+        out = tmp_path / "o"
+        rng = Rng(4)
+        codes = set()
+        for _ in range(200):
+            data = bytearray(golden)
+            data[rng.randint(len(data))] = 1 + rng.randint(255)  # argv holds no NUL
+            override = os.fsdecode(bytes(data))  # as the interpreter decodes argv
+            shutil.rmtree(out, ignore_errors=True)
+            try:  # --variant= keeps a leading '-' from reading as a flag
+                code = main(["variants", "--corpus", str(pipeline / "corpus.txt"),
+                             "--out", str(out), "--epochs", "0", "--hidden", "4",
+                             "--count", "1", "--length", "2", f"--variant={override}"])
+            except SystemExit as exc:
+                code = exc.code
+            codes.add(code)
+            assert code in (0, 1, 2), bytes(data)
+            assert code != 1 or not out.exists(), bytes(data)
+        assert codes == {0, 1}

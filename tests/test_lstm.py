@@ -195,6 +195,15 @@ class TestModelForward:
         with pytest.raises(IndexOutOfRange):
             model_forward(note, dur, params)
 
+    def test_empty_window_is_shape_mismatch(self):
+        params = ModelParams.init(small_config(), Rng(61))
+        empty = np.zeros((2, 0), dtype=int)
+        with pytest.raises(ShapeMismatch):
+            model_forward(empty, empty, params)
+        no_rows = np.zeros((0, 4), dtype=int)  # an empty batch of full windows still runs
+        note_probs, dur_probs, _ = model_forward(no_rows, no_rows, params)
+        assert note_probs.shape == (0, 6) and dur_probs.shape == (0, 4)
+
     def test_forget_bias_initialized_to_one(self):
         params = ModelParams.init(small_config(), Rng(67))
         named = dict(params.named_params())
