@@ -236,7 +236,7 @@ def cmd_train(args) -> int:
     dataset = corpus.to_dataset(note_vocab, dur_vocab)
     train_config = _train_config_from(cfg, corpus, note_vocab, dur_vocab, args.seed)
 
-    out = _out_dir(args)
+    out = Path(args.out)  # train makes it once the model is allocated
     result = train(dataset, train_config, note_vocab, dur_vocab, out_dir=out,
                    on_epoch=lambda row: print(
                        f"epoch {row.epoch}: loss {row.loss:.4f}  "
@@ -408,11 +408,10 @@ def cmd_variants(args) -> int:
 
     window = _random_seed_window(dataset, args.seed)
     seed_notes, seed_durs = _window_tokens(corpus, window)
-    out = _out_dir(args)
+    out = Path(args.out)  # train makes each variant's directory once its model is allocated
     entries = {}
     for name, train_config in variants:
         vdir = out / name
-        vdir.mkdir(parents=True, exist_ok=True)
         result = train(dataset, train_config, note_vocab, dur_vocab, out_dir=vdir)
         files, songs = _write_songs(vdir, "song", result.params, note_vocab, dur_vocab,
                                     seed_notes, seed_durs, corpus.grid, gen_config,
@@ -557,6 +556,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except DataError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # a declared model size this machine cannot hold
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

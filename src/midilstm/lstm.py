@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, ShapeMismatch, StaleCache, UsageError, VocabMismatch
-from .numerics import CE_FLOOR, Rng, matmul, sigmoid, softmax, xavier_init
+from .numerics import (CE_FLOOR, Rng, k_blocks, matmul, product_lanes, run_lanes, sigmoid,
+                       softmax, xavier_init)
 
 GATES = ("forget", "input", "cand", "output")  # checkpoint and init order
 COLUMNS = ("forget", "input", "output", "cand")  # gate blocks along w's columns
@@ -77,6 +78,15 @@ class ModelConfig:
             raise UsageError(f"dropout {self.dropout} outside [0, 1)")
         if self.window_len < 1:
             raise UsageError(f"window_len {self.window_len} must be >= 1")
+
+    def weight_shapes(self) -> list[tuple[int, int]]:
+        """(rows, cols) of each fused weight, layers then heads; each has
+        one more row, its bias, in the parameter arena."""
+        self.validate()
+        ins = [self.input_width, *self.hidden_sizes[:-1]]
+        top = self.hidden_sizes[-1]
+        return ([(h + i, 4 * h) for i, h in zip(ins, self.hidden_sizes)]
+                + [(top, self.note_vocab_size), (top, self.dur_vocab_size)])
 
 
 @dataclass
@@ -117,11 +127,7 @@ class ModelParams:
     @classmethod
     def zeros(cls, config: ModelConfig) -> "ModelParams":
         """All-zero parameters of the configured shapes."""
-        config.validate()
-        ins = [config.input_width, *config.hidden_sizes[:-1]]
-        top = config.hidden_sizes[-1]
-        return cls._carve([(h + i, 4 * h) for i, h in zip(ins, config.hidden_sizes)]
-                          + [(top, config.note_vocab_size), (top, config.dur_vocab_size)])
+        return cls._carve(config.weight_shapes())
 
     @classmethod
     def _carve(cls, w_shapes) -> "ModelParams":
@@ -210,11 +216,13 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> np.ndarray:
     return ids
 
 
-def _dropped(x: np.ndarray, keep: np.ndarray | None, drop: float) -> np.ndarray:
-    """Inverted dropout of ``x`` with a boolean keep mask."""
+def _dropped(x: np.ndarray, keep: np.ndarray | None, drop: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Inverted dropout of ``x`` with a boolean keep mask, into ``out`` when
+    given."""
     if keep is None:
         return x
-    out = x * keep
+    out = np.multiply(x, keep, out=out)
     out *= 1.0 / (1.0 - drop)
     return out
 
@@ -229,11 +237,11 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
     heads, computed on the top layer's final-step h, plus the cache the
     backward pass needs.
 
-    The stack runs layer by layer, each over all L steps. Train mode drops
-    each layer's h at rate ``dropout`` on its way up, drawing ``B * H``
-    uniforms per step and per dropped layer, in step-major order, as one
-    block from ``rng``. Infer mode keeps one layer's h and a rolling c,
-    and no cache.
+    The stack runs layer by layer, each over all L steps, and each layer's
+    recurrence on lanes of batch rows. Train mode drops each layer's h at
+    rate ``dropout`` on its way up, drawing ``B * H`` uniforms per step and
+    per dropped layer, in step-major order, as one block from ``rng``.
+    Infer mode keeps one layer's h and a rolling c, and no cache.
     """
     nv, dv = params.w_note.shape[1], params.w_dur.shape[1]
     note_ids = _check_ids(note_ids, nv, "note")
@@ -249,41 +257,69 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
             raise ShapeMismatch("train-mode dropout needs an rng")
         widths = [B * H for H in sizes[:-1]]
         block = rng.uniform_array(L * sum(widths)).reshape(L, -1)
-        splits = np.split(block, np.cumsum(widths)[:-1], axis=1)
-        keeps[:-1] = [u.reshape(L, B, -1) >= drop for u in splits]
+        keeps[:-1] = [u.reshape(L, B, -1) >= drop
+                      for u in np.split(block, np.cumsum(widths)[:-1], axis=1)]
+        block = None  # the uniforms, once their keep masks are drawn
 
     layers: list[LayerCache] = []
-    x = None
+    h = keep_below = None
     for layer, H, keep in zip(params.layers, sizes, keeps):
         w_h, w_x = layer.w[:H], layer.w[H:]
-        first = x is None
+        first = h is None
         if first:  # layer 0: the one-hot product is a row gather; the
             # duration rows and the bias join step by step below
             acts = w_x[note_ids.T]
         else:
-            acts = matmul(x.reshape(L * B, -1), w_x).reshape(L, B, 4 * H)
-            acts += layer.b
-        x = h = None  # unless the cache holds them, free the layer below's h
+            acts = _input_terms(h, keep_below, drop, layer)
+        h = None  # unless the cache holds it, free the layer below's h
         h = np.zeros((L + 1, B, H))
-        c = np.zeros((B, H))
-        for t in range(L):
-            if first:
-                acts[t] += w_x[nv + dur_ids[:, t]]
-                acts[t] += layer.b
-            if t:
-                acts[t] += matmul(h[t], w_h)
-            h[t + 1], c = cell_forward(acts[t], c)
-        x = _dropped(h[1:], keep, drop)
+
+        def recur(lo: int, hi: int) -> None:  # batch rows [lo, hi), all L steps
+            c = np.zeros((hi - lo, H))
+            for t in range(L):
+                a = acts[t, lo:hi]
+                if first:
+                    a += w_x[nv + dur_ids[lo:hi, t]]
+                    a += layer.b
+                if t:
+                    a += matmul(h[t, lo:hi], w_h)
+                h[t + 1, lo:hi], c = cell_forward(a, c)
+
+        run_lanes(recur, B, product_lanes(B, *w_h.shape))
+        keep_below = keep
         if train:
             layers.append(LayerCache(acts=acts, h=h, keep=keep))
         acts = None  # and this layer's pre-activations, before the next layer's
 
-    h_top = x[-1].copy()  # a view would pin all of h
+    h_top = h[-1].copy()  # a view would pin all of h
     note_probs, dur_probs = heads(h_top, params)
     cache = ForwardCache(dropout=drop, note_ids=note_ids, dur_ids=dur_ids,
                          layers=layers, h_final=h_top, note_probs=note_probs,
                          dur_probs=dur_probs)
     return note_probs, dur_probs, cache
+
+
+def _input_terms(h: np.ndarray, keep: np.ndarray | None, drop: float,
+                 layer: LstmLayerParams) -> np.ndarray:
+    """An upper layer's (L, B, 4H) input terms plus bias from the layer
+    below's (L+1, B, H_in) h and keep mask: one product over all L*B rows,
+    on lanes of rows. The arrays the lanes fill are allocated here, as a
+    lane's own allocations would stay in its thread's malloc arena."""
+    L, B = h.shape[0] - 1, h.shape[1]
+    x = h[1:].reshape(L * B, -1)
+    if keep is not None:
+        keep, kept = keep.reshape(L * B, -1), np.empty_like(x)
+    w_x = layer.w[layer.hidden_size:]
+    acts = np.empty((L * B, w_x.shape[1]))
+
+    def rows(lo: int, hi: int) -> None:
+        x_rows = x[lo:hi] if keep is None else _dropped(x[lo:hi], keep[lo:hi], drop,
+                                                        out=kept[lo:hi])
+        matmul(x_rows, w_x, out=acts[lo:hi])
+        acts[lo:hi] += layer.b
+
+    run_lanes(rows, L * B, product_lanes(L * B, *w_x.shape))
+    return acts.reshape(L, B, -1)
 
 
 def heads(h_top: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +359,9 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
     not: it empties ``cache.layers`` before any work, rebuilds each layer's
     cell states from its gates in ``cell_forward``'s operation order (so
     bit for bit), overwrites the gates with their gradients, and releases
-    the layer once its weight gradients and input gradient are done.
+    the layer once its weight gradients and input gradient are done. Each
+    layer's recurrence runs on lanes of batch rows; the products over all
+    rows follow it, split by their output rows.
     """
     if not cache.layers:
         raise StaleCache("backward needs the unused cache of a train-mode forward pass")
@@ -356,32 +394,36 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
         layer, lc, grad = params.layers[li], layers[li], grads.layers[li]
         H = layer.hidden_size
         w_h, w_x = layer.w[:H], layer.w[H:]
-        c = np.zeros((L + 1, B, H))
-        for t in range(L):  # c = f * c_prev + i * g, as in cell_forward
-            np.multiply(lc.acts[t, :, :H], c[t], out=c[t + 1])
-            c[t + 1] += lc.acts[t, :, H:2 * H] * lc.acts[t, :, 3 * H:]
-        dh = dh_head if dh_in is None else np.zeros((B, H))
-        dc = np.zeros((B, H))
-        for t in range(L - 1, -1, -1):
-            if dh_in is not None:
-                dh += dh_in[t]
-            a = lc.acts[t]
-            f, i, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-            tanh_c = np.tanh(c[t + 1])
-            dc += dh * o * (1.0 - tanh_c ** 2)
-            d_f = dc * c[t] * f * (1.0 - f)
-            d_i = dc * g * i * (1.0 - i)
-            d_o = dh * tanh_c * o * (1.0 - o)
-            d_g = dc * i * (1.0 - g ** 2)
-            dc *= f
-            a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:] = d_f, d_i, d_o, d_g
-            if t:
-                dh = matmul(a, w_h.T)
 
-        c = None  # before the weight-gradient products allocate
+        c_all = np.zeros((L + 1, B, H))  # allocated here, as in _input_terms
+
+        def bptt(lo: int, hi: int) -> None:  # batch rows [lo, hi), all L steps
+            acts, c = lc.acts[:, lo:hi], c_all[:, lo:hi]
+            for t in range(L):  # c = f * c_prev + i * g, as in cell_forward
+                np.multiply(acts[t, :, :H], c[t], out=c[t + 1])
+                c[t + 1] += acts[t, :, H:2 * H] * acts[t, :, 3 * H:]
+            dh = dh_head[lo:hi] if dh_in is None else np.zeros((hi - lo, H))
+            dc = np.zeros((hi - lo, H))
+            for t in range(L - 1, -1, -1):
+                if dh_in is not None:
+                    dh += dh_in[t, lo:hi]
+                a = acts[t]
+                f, i, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+                tanh_c = np.tanh(c[t + 1])
+                dc += dh * o * (1.0 - tanh_c ** 2)
+                d_f = dc * c[t] * f * (1.0 - f)
+                d_i = dc * g * i * (1.0 - i)
+                d_o = dh * tanh_c * o * (1.0 - o)
+                d_g = dc * i * (1.0 - g ** 2)
+                dc *= f
+                a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:] = d_f, d_i, d_o, d_g
+                if t:
+                    dh = matmul(a, w_h.T)
+
+        run_lanes(bptt, B, product_lanes(B, *w_h.T.shape))
+        c_all = None  # before the products below allocate
         d_acts = lc.acts.reshape(L * B, 4 * H)
-        grad.w[:H] = matmul(lc.h[:-1].reshape(L * B, H).T, d_acts)
-        grad.b[...] = d_acts.sum(axis=0, keepdims=True)
+        _weight_grad(lc.h[:-1].reshape(L * B, H), d_acts, grad.w[:H], grad.b)
         if li == 0:  # scatter-add at the ids, the transpose of the row gather
             # (a row loop: np.add.at is about 8x slower on 2-D rows)
             grad_x = grad.w[H:]
@@ -393,15 +435,50 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
             break
         below = layers[li - 1]
         x = _dropped(below.h[1:], below.keep, cache.dropout)
-        grad.w[H:] = matmul(x.reshape(L * B, -1).T, d_acts)
+        _weight_grad(x.reshape(L * B, -1), d_acts, grad.w[H:])
         x = dh_in = None  # free both before allocating the next dh_in
-        dh_in = matmul(d_acts, w_x.T).reshape(L, B, -1)
-        if below.keep is not None:
-            dh_in *= below.keep
-            dh_in *= 1.0 / (1.0 - cache.dropout)
-        layers[li] = lc = a = f = i = o = g = d_acts = None  # release; a view pins acts
+        dh_in = np.empty((L, B, w_x.shape[0]))
+        _input_grad(d_acts, w_x, below.keep, cache.dropout, dh_in.reshape(L * B, -1))
+        layers[li] = lc = d_acts = None  # release
 
     return dict(grads.named_params())
+
+
+def _weight_grad(x: np.ndarray, d: np.ndarray, out: np.ndarray,
+                 bias_out: np.ndarray | None = None) -> None:
+    """``out = x.T @ d`` over the K rows of x and d, summed in the serial
+    BLAS driver's K blocks (``k_blocks``), so the same bytes at any BLAS
+    thread count; ``bias_out`` gets d's column sums. Runs on lanes of out's
+    rows, with the matching columns of ``bias_out``."""
+    (K, m), n = x.shape, d.shape[1]
+    blocks = k_blocks(K, m * n)
+
+    def rows(lo: int, hi: int) -> None:
+        for k0, k1 in zip(blocks, blocks[1:]):
+            part = matmul(x[k0:k1, lo:hi].T, d[k0:k1], out=None if k0 else out[lo:hi])
+            if k0:
+                out[lo:hi] += part
+        if bias_out is not None:
+            c0, c1 = lo * n // m, hi * n // m
+            bias_out[:, c0:c1] = d[:, c0:c1].sum(axis=0, keepdims=True)
+
+    step = min(b - a for a, b in zip(blocks, blocks[1:]))
+    run_lanes(rows, m, product_lanes(m, step, n))
+
+
+def _input_grad(d: np.ndarray, w_x: np.ndarray, keep: np.ndarray | None, drop: float,
+                out: np.ndarray) -> None:
+    """The layer below's (L*B, H_in) h gradient ``d @ w_x.T``, through its
+    dropout keep mask, into ``out``, on lanes of rows."""
+    keep = None if keep is None else keep.reshape(out.shape)
+
+    def rows(lo: int, hi: int) -> None:
+        matmul(d[lo:hi], w_x.T, out=out[lo:hi])
+        if keep is not None:
+            out[lo:hi] *= keep[lo:hi]
+            out[lo:hi] *= 1.0 / (1.0 - drop)
+
+    run_lanes(rows, out.shape[0], product_lanes(out.shape[0], *w_x.T.shape))
 
 
 @dataclass

@@ -5,10 +5,19 @@ All numeric state lives in row-major ``numpy.float64`` arrays: 2-D for the
 model code, 1-D for the whole-arena passes. Operations are deterministic:
 identical inputs (and RNG seed) reproduce bit-identical outputs on the same
 machine, which is what makes checkpoints and generated files reproducible.
+
+The batch passes run on lanes: contiguous row slices of one batch, the
+first on the calling thread and the others on a small thread pool. There
+are as many lanes as the cores BLAS leaves idle (``lanes``), and a product
+is split only where each slice rounds exactly as the whole does
+(``product_lanes``), so the bytes do not depend on the lane count.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +35,15 @@ CE_FLOOR = 1e-12
 BLOCK = 1 << 16
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+# OpenBLAS GEMM facts the lane and K splits keep the bytes through: products
+# of at most SMALL_GEMM multiply-adds may take the small-matrix kernels
+# (SkylakeX), which neither block K nor thread and round differently from the
+# blocked kernels; those sum K in blocks of at most GEMM_Q rows, and round a
+# slice's last rows differently from the whole's unless the product's column
+# count is a multiple of GEMM_COLS
+SMALL_GEMM = 100 ** 3
+GEMM_Q = 384
+GEMM_COLS = 8
 
 
 def _mix64(z: int) -> int:
@@ -93,11 +111,128 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard (m,k)x(k,n) product. Every model GEMM goes through this one
-    named function so the benchmark's tracer can count GEMM calls and FLOPs
-    by hooking it; numpy's ``@`` itself rejects mismatched shapes."""
-    return a @ b
+def matmul(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard (m,k)x(k,n) product, written into ``out`` when given. Every
+    model GEMM goes through this one named function so the benchmark's
+    tracer can count GEMM calls and FLOPs by hooking it; numpy's ``matmul``
+    itself rejects mismatched shapes."""
+    return np.matmul(a, b, out=out)
+
+
+def k_blocks(k: int, outputs: int) -> list[int]:
+    """Bounds of the blocks in which OpenBLAS's serial driver sums a product
+    over its ``k`` inner rows, for a product of ``outputs`` entries: GEMM_Q
+    rows while at least 2*GEMM_Q remain, then a remainder r above GEMM_Q as
+    roundup16(r/2) + rest. Threaded, the driver splits that remainder as
+    ceil(r/2) + rest, so summing the blocks as separate products keeps the
+    bytes at any thread count. One block, ``[0, k]``, where both drivers
+    agree: k at most GEMM_Q or a multiple of 32, or a small-kernel product."""
+    if k <= GEMM_Q or k % 32 == 0 or k * outputs <= SMALL_GEMM:
+        return [0, k]
+    bounds = [0]
+    while k - bounds[-1] >= 2 * GEMM_Q:
+        bounds.append(bounds[-1] + GEMM_Q)
+    if k - bounds[-1] > GEMM_Q:
+        bounds.append(bounds[-1] + ((k - bounds[-1]) // 2 + 15) // 16 * 16)
+    return bounds + [k]
+
+
+@functools.cache
+def _blas_thread_probe():
+    """OpenBLAS's get-num-threads function in numpy's own build, None when
+    no probe answers."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        probe = getattr(lib, name, None)
+        if probe is not None:
+            probe.argtypes, probe.restype = [], ctypes.c_int
+            return probe
+    return None
+
+
+def lanes() -> int:
+    """How many lanes the batch passes may use: the usable cores divided by
+    BLAS's own thread count, so lanes only fill cores BLAS leaves idle; 1
+    when that count cannot be read."""
+    probe = _blas_thread_probe()
+    blas = probe() if probe is not None else 0
+    if blas < 1:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (cores or 1) // blas)
+
+
+def product_lanes(rows: int, inner: int, cols: int) -> int:
+    """Lanes for a (rows, inner) x (inner, cols) product split by its rows,
+    such that each lane's slice rounds as the same rows of the whole do: at
+    most ``lanes()``; 1 unless ``cols`` is a multiple of GEMM_COLS; at least
+    2 rows a lane (a 1-row product is a GEMV); and more than SMALL_GEMM
+    multiply-adds a lane, so that every slice, like the whole, takes the
+    blocked kernels."""
+    k = max(1, min(lanes(), rows // 2)) if cols % GEMM_COLS == 0 else 1
+    while k > 1 and rows // k * inner * cols <= SMALL_GEMM:
+        k -= 1
+    return k
+
+
+class _Lane:
+    """A worker thread that runs one slice of a batch pass at a time."""
+
+    def __init__(self):
+        self.go, self.done = threading.Semaphore(0), threading.Semaphore(0)
+        self.job = self.error = None
+        threading.Thread(target=self._serve, name="lane", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self.go.acquire()
+            try:  # no local names the job, which would pin its arrays until the next one
+                self.job[0](*self.job[1:])
+            except BaseException as exc:  # handed to the caller
+                self.error = exc
+            self.job = None
+            self.done.release()
+
+
+_lanes: list[_Lane] = []  # the lanes after the first, started on first use
+_lanes_busy = threading.Lock()
+
+
+def run_lanes(fn, n: int, k: int) -> None:
+    """Run ``fn(lo, hi)`` on ``k`` contiguous slices of ``range(n)``, the
+    first on the calling thread. Returns once every lane is done, raising
+    the first exception a lane raised. While another pass holds the lanes
+    (a second caller thread, or a lane itself), ``fn`` runs on one slice:
+    the bytes do not depend on the lane count."""
+    if k <= 1 or not _lanes_busy.acquire(blocking=False):
+        fn(0, n)
+        return
+    try:
+        while len(_lanes) < k - 1:
+            _lanes.append(_Lane())
+        bounds = [n * i // k for i in range(k + 1)]
+        workers = _lanes[:k - 1]
+        for lane, lo, hi in zip(workers, bounds[1:-1], bounds[2:]):
+            lane.job = (fn, lo, hi)
+            lane.go.release()
+        errors = []
+        try:
+            fn(bounds[0], bounds[1])
+        finally:
+            for lane in workers:  # no lane outlives the call
+                lane.done.acquire()
+                errors.append(lane.error)
+                lane.error = None
+        for error in errors:
+            if error is not None:
+                raise error
+    finally:
+        _lanes_busy.release()
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -144,7 +279,8 @@ class AdamState:
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of C-contiguous ``param``, in place,
-    ``BLOCK`` values at a time: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    ``BLOCK`` values at a time, each lane over its own run of blocks:
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
     p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), each in that order."""
     arrays = (param, grad, state.m, state.v)
     if any(a.shape != param.shape or not a.flags.c_contiguous for a in arrays):
@@ -153,18 +289,23 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
     b1, b2 = ADAM_B1, ADAM_B2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     p, g, m, v = (a.reshape(-1) for a in arrays)
-    buf1, buf2 = np.empty(min(p.size, BLOCK)), np.empty(min(p.size, BLOCK))
-    for s in range(0, p.size, BLOCK):
-        gs, ms, vs = g[s:s + BLOCK], m[s:s + BLOCK], v[s:s + BLOCK]
-        t1, t2 = buf1[:gs.size], buf2[:gs.size]
-        ms *= b1
-        ms += np.multiply(gs, 1.0 - b1, out=t1)
-        vs *= b2
-        vs += np.multiply(np.multiply(gs, 1.0 - b2, out=t1), gs, out=t1)
-        np.multiply(np.divide(ms, c1, out=t1), lr, out=t1)
-        np.sqrt(np.divide(vs, c2, out=t2), out=t2)
-        t2 += ADAM_EPS
-        p[s:s + BLOCK] -= np.divide(t1, t2, out=t1)
+
+    def update(first: int, last: int) -> None:  # blocks [first, last)
+        buf1, buf2 = np.empty(min(p.size, BLOCK)), np.empty(min(p.size, BLOCK))
+        for s in range(first * BLOCK, last * BLOCK, BLOCK):
+            gs, ms, vs = g[s:s + BLOCK], m[s:s + BLOCK], v[s:s + BLOCK]
+            t1, t2 = buf1[:gs.size], buf2[:gs.size]
+            ms *= b1
+            ms += np.multiply(gs, 1.0 - b1, out=t1)
+            vs *= b2
+            vs += np.multiply(np.multiply(gs, 1.0 - b2, out=t1), gs, out=t1)
+            np.multiply(np.divide(ms, c1, out=t1), lr, out=t1)
+            np.sqrt(np.divide(vs, c2, out=t2), out=t2)
+            t2 += ADAM_EPS
+            p[s:s + BLOCK] -= np.divide(t1, t2, out=t1)
+
+    blocks = -(-p.size // BLOCK)
+    run_lanes(update, blocks, min(lanes(), blocks))
 
 
 def global_norm(grads) -> float:

@@ -12,6 +12,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -164,7 +165,9 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
     no NaN reaches the parameters or a checkpoint. A batch size larger
     than the window count is clamped down to it. Checkpoints are written
     every ``checkpoint_every`` epochs plus a final ``checkpoint.bin`` when
-    ``out_dir`` is given. ``on_epoch`` is called with each MetricsRow.
+    ``out_dir`` is given; it is made once the model is allocated, so a model
+    too large for memory leaves none. ``on_epoch`` is called with each
+    MetricsRow.
     """
     config.validate()
     windows, _ = make_windows(dataset)
@@ -182,6 +185,8 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
     params.check_vocabs(note_vocab, dur_vocab)
     grads = params.zeros_like()
     adam = AdamState(np.zeros(params.flat.size), np.zeros(params.flat.size))
+    if out_dir is not None:  # once the model fits in memory
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     metrics: list[MetricsRow] = []
     checkpoint_paths: list[str] = []
@@ -320,6 +325,10 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         header = json.loads(blob.decode("utf-8"))
         config = TrainConfig.from_dict(header["config"])
+        values = sum((rows + 1) * cols for rows, cols in config.model.weight_shapes())
+        if 8 * values > len(data) - pos:  # before allocating what the header declares
+            raise BadCheckpoint(f"header declares {values} parameter values, "
+                                f"the file holds {len(data) - pos} bytes after it")
         params = ModelParams.zeros(config.model)
         note_vocab = Vocabulary(header["note_vocab"])
         dur_vocab = Vocabulary(header["dur_vocab"])

@@ -184,6 +184,19 @@ class TestTrain:
         assert manifest["config"]["hidden"] == [8]  # file beats default
         assert len((run / "metrics.csv").read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("source", ["flag", "config", "variant"])
+    def test_model_too_large_for_memory_is_data_error(self, pipeline, tmp_path, capsys, source):
+        out = tmp_path / "big"
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("hidden = 10000000\n")
+        argv = {"flag": ["train", "--hidden", "10000000"],
+                "config": ["train", "--config", str(cfg)],
+                "variant": ["variants", "--variant", "a:hidden=10000000", "--count", "1"]}[source]
+        assert main([*argv, "--corpus", str(pipeline / "corpus.txt"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_non_utf8_config_is_data_error(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"lr = 0.01\nhidden = \xff\n")
@@ -641,9 +654,7 @@ class TestUsage:
 
 @pytest.mark.parametrize("batch_size", [
     "48",  # 3 batches of 480 product rows (window x batch) and one of 360
-    pytest.param("52", marks=pytest.mark.xfail(
-        reason="the README's limit: OpenBLAS splits a weight-gradient product of 520 rows "
-               "(not a multiple of 32, above 384) differently at 2 threads")),
+    "52",  # weight-gradient products over 520 rows: above 384, not a multiple of 32
 ])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, midi_dir, batch_size):
     """ingest -> train (odd hidden sizes, dropout, several batches per
@@ -731,6 +742,46 @@ def test_header_vocabulary_that_does_not_fit_the_model_is_data_error(pipeline, c
     assert ("VocabMismatch" if change == "L=14" else "BadCheckpoint") in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def header_int_fields(node, path):
+    """Key paths of every integer in a checkpoint header's config."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            yield from header_int_fields(value, path + (key,))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+def test_structured_checkpoint_header_fuzz(pipeline, tmp_path):
+    """Each integer header field set to each of a few sizes and types: eval
+    and generate exit 0 or 2, allocating nothing the header declares
+    before checking that the file holds it."""
+    golden = (pipeline / "checkpoint.bin").read_bytes()
+    hlen = int.from_bytes(golden[12:16], "little")
+    header = json.loads(golden[16:16 + hlen])
+    fields = [("epoch",), *header_int_fields(header["config"], ("config",))]
+    assert {f[2] for f in fields if f[1:2] == ("model",)} == {
+        "hidden_sizes", "note_vocab_size", "dur_vocab_size", "window_len"}
+    path, out = tmp_path / "fuzz.bin", tmp_path / "gen"
+    codes = set()
+    for field in fields:
+        for value in (0, -1, 2 ** 31, 10 ** 7, 2.5, "12", None):
+            header = json.loads(golden[16:16 + hlen])
+            *parents, last = field
+            target = header
+            for key in parents:
+                target = target[key]
+            target[last] = value
+            blob = json.dumps(header).encode()
+            path.write_bytes(golden[:12] + len(blob).to_bytes(4, "little") + blob
+                             + golden[16 + hlen:])
+            for argv in (["eval"], ["generate", "--length", "2", "--out", str(out)]):
+                code = main([*argv, "--checkpoint", str(path),
+                             "--corpus", str(pipeline / "corpus.txt")])
+                assert code in (0, 2), (field, value, argv[0])
+                codes.add(code)
+    assert codes == {0, 2}
 
 
 class TestFuzz:

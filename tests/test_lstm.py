@@ -1,10 +1,11 @@
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from midilstm import lstm
+from midilstm import lstm, numerics
 from midilstm.errors import IndexOutOfRange, ShapeMismatch, StaleCache, UsageError
 from midilstm.lstm import (
     LstmLayerParams,
@@ -335,11 +336,11 @@ class TestBackward:
         calls = []
         real = lstm.matmul
 
-        def counting(a, b):
+        def counting(a, b, **kwargs):
             calls.append(None)
             if len(calls) == stop:
                 raise RuntimeError("injected failure")
-            return real(a, b)
+            return real(a, b, **kwargs)
 
         stop = 0
         monkeypatch.setattr(lstm, "matmul", counting)
@@ -354,12 +355,17 @@ class TestBackward:
         with pytest.raises(StaleCache):
             model_backward(cache, note_t, dur_t, params)
 
-    def test_backward_releases_each_layer_once_past_it(self, monkeypatch):
-        sizes = (8, 6, 4)  # distinct, so a recurrent product's weight names its layer
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_backward_releases_each_layer_once_past_it(self, monkeypatch, lanes):
+        # distinct, so a recurrent product's weight names its layer, and
+        # large enough that every layer's recurrence runs on both lanes
+        sizes = (288, 272, 256)
+        monkeypatch.setattr(numerics, "lanes", lambda: lanes)
+        assert numerics.product_lanes(8, 4 * sizes[-1], sizes[-1]) == lanes
         config = small_config(hidden_sizes=sizes, dropout=0.3)
         rng = Rng(113)
         params = ModelParams.init(config, rng)
-        note, dur, note_t, dur_t = random_inputs(config, rng, batch=2)
+        note, dur, note_t, dur_t = random_inputs(config, rng, batch=8)
         _, _, cache = model_forward(note, dur, params, train=True, rng=Rng(5),
                                     dropout=config.dropout)
 
@@ -372,11 +378,11 @@ class TestBackward:
         turns = []
         real = lstm.matmul
 
-        def watching(a, b):
+        def watching(a, b, **kwargs):
             for k, H in enumerate(sizes):
                 if b.shape == (4 * H, H):  # layer k's recurrent product
                     turns.append((k, [r() is not None for r in refs]))
-            return real(a, b)
+            return real(a, b, **kwargs)
 
         monkeypatch.setattr(lstm, "matmul", watching)
         model_backward(cache, note_t, dur_t, params)
@@ -397,8 +403,11 @@ class TestBackward:
             arrays = [v for v in vars(lc).values() if isinstance(v, np.ndarray)]
             assert sum(a.nbytes for a in arrays) == 8 * L * B * 4 * H + 8 * (L + 1) * B * H + keep
 
-    def test_train_step_peak_memory(self):
-        L, B, H = 20, 64, 64
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_train_step_peak_memory(self, monkeypatch, lanes):
+        L, B, H = 20, 64, 128  # H large enough for a recurrence on two lanes
+        monkeypatch.setattr(numerics, "lanes", lambda: lanes)
+        assert numerics.product_lanes(B, 4 * H, H) == lanes
         config = small_config(note_vocab_size=30, dur_vocab_size=10, hidden_sizes=(H, H, H),
                               window_len=L)
         params = ModelParams.init(config, Rng(61))
@@ -444,6 +453,96 @@ class TestBackward:
                 fd = (up - down) / (2 * step)
                 rel = abs(a_flat[k] - fd) / max(abs(a_flat[k]) + abs(fd), 1e-6)
                 assert rel < 1e-4, f"{name}[{k}]: rel err {rel:.2e}"
+
+
+LANE_SIZES = (384, 256)  # a 2-row slice of layer 0's recurrence is a blocked-kernel product
+
+
+def lane_pass(monkeypatch, lanes: int, batch: int, sizes=LANE_SIZES) -> list[np.ndarray]:
+    """Infer-mode and train-mode probabilities, every cache array and every
+    gradient of one batch, with the lane count forced to ``lanes``."""
+    monkeypatch.setattr(numerics, "lanes", lambda: lanes)
+    config = small_config(note_vocab_size=30, dur_vocab_size=10, hidden_sizes=sizes,
+                          dropout=0.3, window_len=6)
+    params = ModelParams.init(config, Rng(131))
+    note, dur, note_t, dur_t = random_inputs(config, Rng(137), batch=batch)
+    out = list(model_forward(note, dur, params)[:2])
+    *probs, cache = model_forward(note, dur, params, train=True, rng=Rng(5),
+                                  dropout=config.dropout)
+    out += probs  # the gates are copied: backward overwrites them with their gradients
+    out += [a.copy() for lc in cache.layers for a in (lc.acts, lc.h, lc.keep) if a is not None]
+    return out + list(model_backward(cache, note_t, dur_t, params).values())
+
+
+class TestLanes:
+    def test_split_rule(self, monkeypatch):
+        monkeypatch.setattr(numerics, "lanes", lambda: 3)
+        H = LANE_SIZES[0]
+        assert [numerics.product_lanes(b, 4 * H, H) for b in (1, 2, 3, 4, 5, 6, 64)] == \
+            [1, 1, 1, 2, 2, 3, 3]  # at least 2 rows a lane
+        assert numerics.product_lanes(64, 4 * 64, 64) == 1  # 21 rows, a small-kernel product
+        assert numerics.product_lanes(64, 4 * 128, 128) == 3
+        assert numerics.product_lanes(64, 4 * 500, 500) == 1  # columns not a multiple of 8
+        assert numerics.product_lanes(64, 500, 4 * 500) == 3
+        monkeypatch.setattr(numerics, "lanes", lambda: 1)
+        assert numerics.product_lanes(64, 4 * H, H) == 1
+
+    # (384, 250): layer 1's backward products have 250 columns, which no
+    # lane may split, while its forward and weight-gradient products split
+    @pytest.mark.parametrize("sizes", [LANE_SIZES, (384, 250)])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5, 64])
+    def test_forward_and_backward_do_not_depend_on_the_lane_count(self, monkeypatch, batch,
+                                                                  sizes):
+        want = lane_pass(monkeypatch, 1, batch, sizes)
+        for lanes in (2, 3):
+            got = lane_pass(monkeypatch, lanes, batch, sizes)
+            assert len(got) == len(want)
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert np.array_equal(g, w), (lanes, k)
+
+    @pytest.mark.parametrize("stage", ["forward", "backward"])
+    def test_a_lane_that_raises(self, monkeypatch, stage):
+        monkeypatch.setattr(numerics, "lanes", lambda: 2)
+        config = small_config(note_vocab_size=30, dur_vocab_size=10, hidden_sizes=LANE_SIZES,
+                              dropout=0.3, window_len=6)
+        params = ModelParams.init(config, Rng(139))
+        note, dur, note_t, dur_t = random_inputs(config, Rng(149), batch=8)
+
+        def step():
+            *_, cache = model_forward(note, dur, params, train=True, rng=Rng(5),
+                                      dropout=config.dropout)
+            return cache, lambda: model_backward(cache, note_t, dur_t, params)
+
+        want = step()[1]()
+        real = lstm.matmul
+        lane_calls, running = [], []
+
+        def failing(a, b, **kwargs):  # the third product a lane thread runs raises
+            if threading.current_thread().name == "lane":
+                lane_calls.append(None)
+                if len(lane_calls) == 3:
+                    raise RuntimeError("injected lane failure")
+            running.append(None)
+            try:
+                return real(a, b, **kwargs)
+            finally:
+                running.pop()
+
+        if stage == "forward":
+            monkeypatch.setattr(lstm, "matmul", failing)
+            with pytest.raises(RuntimeError, match="injected"):
+                step()
+        else:
+            cache, backward = step()
+            monkeypatch.setattr(lstm, "matmul", failing)
+            with pytest.raises(RuntimeError, match="injected"):
+                backward()
+            with pytest.raises(StaleCache):
+                backward()
+        assert len(lane_calls) >= 3 and running == []  # no product outlives the call
+        monkeypatch.setattr(lstm, "matmul", real)
+        got = step()[1]()
+        assert all(np.array_equal(got[name], w) for name, w in want.items())
 
 
 class TestGradCheck:

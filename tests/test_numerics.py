@@ -1,17 +1,26 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from midilstm import numerics
 from midilstm.errors import ShapeMismatch
 from midilstm.numerics import (
     BLOCK,
     AdamState,
     Rng,
     adam_step,
+    SMALL_GEMM,
     derive_seed,
     global_norm,
+    k_blocks,
     matmul,
+    run_lanes,
     sigmoid,
     softmax,
     xavier_init,
@@ -271,3 +280,106 @@ class TestAdam:
 def test_global_norm():
     grads = [np.array([[3.0]]), np.array([[4.0]])]
     assert global_norm(grads) == pytest.approx(5.0)
+
+
+class TestLanes:
+    @pytest.mark.parametrize("blas, want", [(1, "cores"), ("cores", 1), (0, 1), (None, 1)])
+    def test_lanes_fill_the_cores_blas_leaves_idle(self, monkeypatch, blas, want):
+        cores = len(os.sched_getaffinity(0))
+        probe = None if blas is None else (lambda: cores if blas == "cores" else blas)
+        monkeypatch.setattr(numerics, "_blas_thread_probe", lambda: probe)
+        assert numerics.lanes() == (cores if want == "cores" else want)
+
+    def test_lanes_at_the_blas_default_and_at_one_blas_thread(self):
+        src = str(Path(numerics.__file__).parent.parent)
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+
+        def lanes_in_child(**threads):
+            proc = subprocess.run([sys.executable, "-c",
+                                   "from midilstm.numerics import lanes; print(lanes())"],
+                                  env={**env, **threads}, capture_output=True, text=True,
+                                  timeout=60, check=True)
+            return int(proc.stdout)
+
+        assert lanes_in_child() == 1  # OpenBLAS's default is every core
+        readable = numerics._blas_thread_probe() is not None
+        cores = len(os.sched_getaffinity(0))
+        assert lanes_in_child(OPENBLAS_NUM_THREADS="1") == (cores if readable else 1)
+
+    def test_run_lanes_covers_the_range_once(self, monkeypatch):
+        seen = []
+        run_lanes(lambda lo, hi: seen.append((lo, hi)), 10, 3)
+        assert sorted(seen) == [(0, 3), (3, 6), (6, 10)]
+        seen.clear()
+        run_lanes(lambda lo, hi: run_lanes(lambda a, b: seen.append((a, b)), hi - lo, 2), 8, 2)
+        assert sorted(seen) == [(0, 4), (0, 4)]  # a lane's own pass runs on one slice
+
+    def test_run_lanes_raises_a_lane_exception_after_every_lane_is_done(self):
+        done = []
+
+        def work(lo, hi):
+            if lo == 4:
+                raise RuntimeError("lane failure")
+            done.append(lo)
+
+        with pytest.raises(RuntimeError, match="lane failure"):
+            run_lanes(work, 12, 3)
+        assert sorted(done) == [0, 8]
+        done.clear()
+        run_lanes(lambda lo, hi: done.append(lo), 12, 3)  # nothing stale is raised
+        assert sorted(done) == [0, 4, 8]
+
+    def test_concurrent_callers_each_cover_their_range_once(self):
+        # more lanes than cores, two caller threads and a short switch
+        # interval: a lost or doubled slice would break the coverage
+        seen = {0: [], 1: []}
+        errors = []
+
+        def caller(who):
+            try:
+                for _ in range(200):
+                    got = []
+                    run_lanes(lambda lo, hi: got.append((lo, hi)), 12, 4)
+                    seen[who].append(sorted(got))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(w,)) for w in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        whole, split = [(0, 12)], [(0, 3), (3, 6), (6, 9), (9, 12)]
+        for who in (0, 1):  # a caller that finds the lanes busy runs one slice
+            assert len(seen[who]) == 200 and all(s in (whole, split) for s in seen[who])
+
+    def test_k_blocks(self):
+        big = SMALL_GEMM  # outputs enough for a blocked-kernel product at any k here
+        assert k_blocks(3200, big) == [0, 3200]  # a multiple of 32
+        assert k_blocks(384, big) == [0, 384]
+        assert k_blocks(520, big) == [0, 272, 520]
+        assert k_blocks(1150, big) == [0, 384, 768, 1150]
+        assert k_blocks(1500, big) == [0, 384, 768, 1136, 1500]
+        assert k_blocks(520, 100) == [0, 520]  # a small-kernel product is one block
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_adam_step_does_not_depend_on_the_lane_count(self, monkeypatch, lanes):
+        n = 3 * BLOCK + 5
+        rng = Rng(43)
+        start, grads = rng.uniform_array(n) - 0.5, [rng.uniform_array(n) - 0.5 for _ in range(2)]
+        results = []
+        for count in (1, lanes):
+            monkeypatch.setattr(numerics, "lanes", lambda: count)
+            param, state = start.copy(), AdamState(np.zeros(n), np.zeros(n))
+            for g in grads:
+                adam_step(param, g, state, 1e-3)
+            assert state.t == 2
+            results.append((param.tobytes(), state.m.tobytes(), state.v.tobytes()))
+        assert results[0] == results[1]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import looped_song, song_dataset
-from midilstm import cli, trainer
+from midilstm import cli, numerics, trainer
 from midilstm.corpus import CorpusFile, Vocabulary, save_corpus
 from midilstm.errors import BadCheckpoint, EmptyDataset, TrainingDiverged, VocabMismatch
 from midilstm.lstm import ModelConfig, ModelParams
@@ -72,6 +72,21 @@ class TestTrain:
         dataset, config, nv, dv = tiny_setup(epochs=3, optimizer="sgd", lr=0.5)
         result = train(dataset, config, nv, dv)
         assert result.metrics[-1].loss < result.metrics[0].loss
+
+    def test_checkpoint_bytes_do_not_depend_on_the_lane_count(self, tmp_path, monkeypatch):
+        # 190 windows in batches of 64, 64 and 62, with dropout; the
+        # recurrences and products run on 2 or 3 lanes
+        blobs = []
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(numerics, "lanes", lambda: lanes)
+            dataset, config, nv, dv = tiny_setup(n_tokens=200, hidden=(288, 256), epochs=1,
+                                                 batch_size=64)
+            config.model.dropout = 0.3
+            out = tmp_path / str(lanes)
+            train(dataset, config, nv, dv, out_dir=out)
+            blobs.append((out / "checkpoint.bin").read_bytes())
+        assert numerics.product_lanes(62, 4 * 256, 256) == 3
+        assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
 
     def test_batch_size_clamped_to_window_count(self):
         dataset, config, nv, dv = tiny_setup(epochs=1, batch_size=100_000)
