@@ -551,13 +551,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # a missing, unreadable or unwritable path
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except DataError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except MemoryError as exc:  # a declared model size this machine cannot hold
+    except (OSError, MemoryError) as exc:  # a bad path, or a model too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -7,9 +7,10 @@ identical inputs (and RNG seed) reproduce bit-identical outputs on the same
 machine, which is what makes checkpoints and generated files reproducible.
 
 The batch passes run on lanes: contiguous row slices of one batch, the
-first on the calling thread and the others on a small thread pool. There
-are as many lanes as the cores BLAS leaves idle (``lanes``), and a product
-is split only where each slice rounds exactly as the whole does
+first on the calling thread and the others on one standard-library thread
+pool, started by the first pass that splits (``run_lanes``). There are as
+many lanes as the cores BLAS leaves idle (``lanes``), and a product is
+split only where each slice rounds exactly as the whole does
 (``product_lanes``), so the bytes do not depend on the lane count.
 """
 
@@ -180,54 +181,32 @@ def product_lanes(rows: int, inner: int, cols: int) -> int:
     return k
 
 
-class _Lane:
-    """A worker thread that runs one slice of a batch pass at a time."""
-
-    def __init__(self):
-        self.go, self.done = threading.Semaphore(0), threading.Semaphore(0)
-        self.job = self.error = None
-        threading.Thread(target=self._serve, name="lane", daemon=True).start()
-
-    def _serve(self) -> None:
-        while True:
-            self.go.acquire()
-            try:  # no local names the job, which would pin its arrays until the next one
-                self.job[0](*self.job[1:])
-            except BaseException as exc:  # handed to the caller
-                self.error = exc
-            self.job = None
-            self.done.release()
-
-
-_lanes: list[_Lane] = []  # the lanes after the first, started on first use
+_pool = None  # runs the lanes after the first, started by the first pass that splits
 _lanes_busy = threading.Lock()
 
 
 def run_lanes(fn, n: int, k: int) -> None:
     """Run ``fn(lo, hi)`` on ``k`` contiguous slices of ``range(n)``, the
-    first on the calling thread. Returns once every lane is done, raising
-    the first exception a lane raised. While another pass holds the lanes
-    (a second caller thread, or a lane itself), ``fn`` runs on one slice:
-    the bytes do not depend on the lane count."""
+    first on the calling thread and the others on one thread pool. Returns
+    once every lane is done, also when the caller's own slice raises, and
+    then raises the first exception a lane raised. While another pass holds
+    the lanes (a second caller thread, or a lane itself), ``fn`` runs on one
+    slice, so no lane waits on itself. The bytes do not depend on the lane
+    count."""
+    global _pool
     if k <= 1 or not _lanes_busy.acquire(blocking=False):
         fn(0, n)
         return
     try:
-        while len(_lanes) < k - 1:
-            _lanes.append(_Lane())
+        if _pool is None:  # imported here: it would add to every command's start-up
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(thread_name_prefix="lane")
         bounds = [n * i // k for i in range(k + 1)]
-        workers = _lanes[:k - 1]
-        for lane, lo, hi in zip(workers, bounds[1:-1], bounds[2:]):
-            lane.job = (fn, lo, hi)
-            lane.go.release()
-        errors = []
+        futures = [_pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
         try:
             fn(bounds[0], bounds[1])
         finally:
-            for lane in workers:  # no lane outlives the call
-                lane.done.acquire()
-                errors.append(lane.error)
-                lane.error = None
+            errors = [f.exception() for f in futures]  # no lane outlives the call
         for error in errors:
             if error is not None:
                 raise error

@@ -152,6 +152,17 @@ class TestParse:
         assert mf.tracks[0][0] == MidiEvent(0, Opaque(0xFF, bytes([0x03]) + b"Name"))
         assert write_midi(mf) == data
 
+    def test_sysex_and_escape_preserved(self):
+        # a sysex (0xF0) and an escape (0xF7) event, each with a length and
+        # payload, between two notes; running status does not carry across them
+        body = bytes.fromhex("00f005411042127f" "00903c40" "10f70243f7" "00803c00" "00ff2f00")
+        data = (b"MThd" + (6).to_bytes(4, "big") + bytes.fromhex("0000" "0001" "00c0")
+                + b"MTrk" + len(body).to_bytes(4, "big") + body)
+        mf = parse_midi(data)
+        assert mf.tracks[0][0] == MidiEvent(0, Opaque(0xF0, bytes.fromhex("411042127f")))
+        assert mf.tracks[0][2] == MidiEvent(0x10, Opaque(0xF7, bytes.fromhex("43f7")))
+        assert write_midi(mf) == data
+
     def test_oversized_header_length_skipped(self):
         # MThd declaring 8 bytes: the two extras must be ignored
         data = (b"MThd" + (8).to_bytes(4, "big")
