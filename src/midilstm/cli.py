@@ -23,6 +23,7 @@ from .corpus import (
     DEFAULT_MAX_DUR,
     DEFAULT_WINDOW,
     CorpusFile,
+    atomic_write,
     format_song,
     load_corpus,
     parse_song_line,
@@ -148,7 +149,7 @@ def write_manifest(out_dir, command: str, config: dict, inputs, outputs,
     if extra:
         manifest.update(extra)
     path = Path(out_dir) / f"{command}_manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
@@ -324,11 +325,12 @@ def _write_songs(out_dir: Path, stem: str, params, note_vocab, dur_vocab,
         saturations += result.guard_saturations
         piece = emit(result.notes, result.durs, grid)
         path = out_dir / f"{stem}_{i:03d}.mid"
-        path.write_bytes(write_midi(piece_to_midi(piece)))
+        with atomic_write(path, "wb") as fh:
+            fh.write(write_midi(piece_to_midi(piece)))
         if tokens:
             token_path = path.with_suffix(".tokens")
-            token_path.write_text(format_song(result.notes, result.durs) + "\n",
-                                  encoding="utf-8")
+            with atomic_write(token_path) as fh:
+                fh.write(format_song(result.notes, result.durs) + "\n")
             files.append(token_path)
         files.append(path)
         songs.append({"file": path.name, **result.stats()})

@@ -15,7 +15,10 @@ fields, header first):
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -184,8 +187,25 @@ def parse_song_line(line: str, accepted: set | None = None) -> tuple[list[str], 
 def save_corpus(path, corpus: CorpusFile) -> None:
     lines = [f"#grid={corpus.grid} L={corpus.window_len} max_dur={corpus.max_dur}"]
     lines.extend(format_song(notes, durs) for notes, durs in corpus.songs)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A UTF-8 text (``"w"``) or bytes (``"wb"``) handle on a sibling temp
+    file that replaces ``path`` once the block ends and its bytes are on
+    disk, so ``path`` holds its old bytes, or none, until then."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:  # the temp file goes, and the exception propagates
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_lines(path) -> list[str]:

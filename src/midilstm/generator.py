@@ -67,7 +67,6 @@ def pick_seed(dataset: Dataset, rng: Rng) -> tuple[int, int]:
         if pick < count:
             return song, pick
         pick -= count
-    raise AssertionError("unreachable")
 
 
 def _tempered(probs: np.ndarray, temperature: float) -> np.ndarray:

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, ShapeMismatch, StaleCache, UsageError, VocabMismatch
-from .numerics import (CE_FLOOR, Rng, k_blocks, matmul, product_lanes, run_lanes, sigmoid,
-                       softmax, xavier_init)
+from .numerics import (CE_FLOOR, Rng, k_blocks, lane_product, matmul, product_lanes, run_lanes,
+                       sigmoid, softmax, xavier_init)
 
 GATES = ("forget", "input", "cand", "output")  # checkpoint and init order
 COLUMNS = ("forget", "input", "output", "cand")  # gate blocks along w's columns
@@ -269,9 +269,11 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
         if first:  # layer 0: the one-hot product is a row gather; the
             # duration rows and the bias join step by step below
             acts = w_x[note_ids.T]
-        else:
-            acts = _input_terms(h, keep_below, drop, layer)
-        h = None  # unless the cache holds it, free the layer below's h
+        else:  # one product over all L*B rows of the layer below's dropped h
+            x = _dropped(h[1:], keep_below, drop).reshape(L * B, -1)
+            acts = lane_product(x, w_x, np.empty((L * B, 4 * H))).reshape(L, B, 4 * H)
+            acts += layer.b
+        x = h = None  # x may view h; unless the cache holds h, free it
         h = np.zeros((L + 1, B, H))
 
         def recur(lo: int, hi: int) -> None:  # batch rows [lo, hi), all L steps
@@ -297,29 +299,6 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
                          layers=layers, h_final=h_top, note_probs=note_probs,
                          dur_probs=dur_probs)
     return note_probs, dur_probs, cache
-
-
-def _input_terms(h: np.ndarray, keep: np.ndarray | None, drop: float,
-                 layer: LstmLayerParams) -> np.ndarray:
-    """An upper layer's (L, B, 4H) input terms plus bias from the layer
-    below's (L+1, B, H_in) h and keep mask: one product over all L*B rows,
-    on lanes of rows. The arrays the lanes fill are allocated here, as a
-    lane's own allocations would stay in its thread's malloc arena."""
-    L, B = h.shape[0] - 1, h.shape[1]
-    x = h[1:].reshape(L * B, -1)
-    if keep is not None:
-        keep, kept = keep.reshape(L * B, -1), np.empty_like(x)
-    w_x = layer.w[layer.hidden_size:]
-    acts = np.empty((L * B, w_x.shape[1]))
-
-    def rows(lo: int, hi: int) -> None:
-        x_rows = x[lo:hi] if keep is None else _dropped(x[lo:hi], keep[lo:hi], drop,
-                                                        out=kept[lo:hi])
-        matmul(x_rows, w_x, out=acts[lo:hi])
-        acts[lo:hi] += layer.b
-
-    run_lanes(rows, L * B, product_lanes(L * B, *w_x.shape))
-    return acts.reshape(L, B, -1)
 
 
 def heads(h_top: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -360,8 +339,8 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
     cell states from its gates in ``cell_forward``'s operation order (so
     bit for bit), overwrites the gates with their gradients, and releases
     the layer once its weight gradients and input gradient are done. Each
-    layer's recurrence runs on lanes of batch rows; the products over all
-    rows follow it, split by their output rows.
+    layer's recurrence runs on lanes of batch rows; each product over all
+    rows that follows it is one ``lane_product``.
     """
     if not cache.layers:
         raise StaleCache("backward needs the unused cache of a train-mode forward pass")
@@ -395,7 +374,7 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
         H = layer.hidden_size
         w_h, w_x = layer.w[:H], layer.w[H:]
 
-        c_all = np.zeros((L + 1, B, H))  # allocated here, as in _input_terms
+        c_all = np.zeros((L + 1, B, H))  # allocated here, as for lane_product
 
         def bptt(lo: int, hi: int) -> None:  # batch rows [lo, hi), all L steps
             acts, c = lc.acts[:, lo:hi], c_all[:, lo:hi]
@@ -423,7 +402,8 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
         run_lanes(bptt, B, product_lanes(B, *w_h.T.shape))
         c_all = None  # before the products below allocate
         d_acts = lc.acts.reshape(L * B, 4 * H)
-        _weight_grad(lc.h[:-1].reshape(L * B, H), d_acts, grad.w[:H], grad.b)
+        _weight_grad(lc.h[:-1].reshape(L * B, H), d_acts, grad.w[:H])
+        grad.b[...] = d_acts.sum(axis=0, keepdims=True)
         if li == 0:  # scatter-add at the ids, the transpose of the row gather
             # (a row loop: np.add.at is about 8x slower on 2-D rows)
             grad_x = grad.w[H:]
@@ -437,48 +417,21 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
         x = _dropped(below.h[1:], below.keep, cache.dropout)
         _weight_grad(x.reshape(L * B, -1), d_acts, grad.w[H:])
         x = dh_in = None  # free both before allocating the next dh_in
-        dh_in = np.empty((L, B, w_x.shape[0]))
-        _input_grad(d_acts, w_x, below.keep, cache.dropout, dh_in.reshape(L * B, -1))
+        dh_in = lane_product(d_acts, w_x.T, np.empty((L * B, w_x.shape[0]))).reshape(L, B, -1)
+        _dropped(dh_in, below.keep, cache.dropout, out=dh_in)
         layers[li] = lc = d_acts = None  # release
 
     return dict(grads.named_params())
 
 
-def _weight_grad(x: np.ndarray, d: np.ndarray, out: np.ndarray,
-                 bias_out: np.ndarray | None = None) -> None:
+def _weight_grad(x: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
     """``out = x.T @ d`` over the K rows of x and d, summed in the serial
     BLAS driver's K blocks (``k_blocks``), so the same bytes at any BLAS
-    thread count; ``bias_out`` gets d's column sums. Runs on lanes of out's
-    rows, with the matching columns of ``bias_out``."""
-    (K, m), n = x.shape, d.shape[1]
-    blocks = k_blocks(K, m * n)
-
-    def rows(lo: int, hi: int) -> None:
-        for k0, k1 in zip(blocks, blocks[1:]):
-            part = matmul(x[k0:k1, lo:hi].T, d[k0:k1], out=None if k0 else out[lo:hi])
-            if k0:
-                out[lo:hi] += part
-        if bias_out is not None:
-            c0, c1 = lo * n // m, hi * n // m
-            bias_out[:, c0:c1] = d[:, c0:c1].sum(axis=0, keepdims=True)
-
-    step = min(b - a for a, b in zip(blocks, blocks[1:]))
-    run_lanes(rows, m, product_lanes(m, step, n))
-
-
-def _input_grad(d: np.ndarray, w_x: np.ndarray, keep: np.ndarray | None, drop: float,
-                out: np.ndarray) -> None:
-    """The layer below's (L*B, H_in) h gradient ``d @ w_x.T``, through its
-    dropout keep mask, into ``out``, on lanes of rows."""
-    keep = None if keep is None else keep.reshape(out.shape)
-
-    def rows(lo: int, hi: int) -> None:
-        matmul(d[lo:hi], w_x.T, out=out[lo:hi])
-        if keep is not None:
-            out[lo:hi] *= keep[lo:hi]
-            out[lo:hi] *= 1.0 / (1.0 - drop)
-
-    run_lanes(rows, out.shape[0], product_lanes(out.shape[0], *w_x.T.shape))
+    thread count: one ``lane_product`` per block."""
+    blocks = k_blocks(x.shape[0], out.size)
+    lane_product(x[:blocks[1]].T, d[:blocks[1]], out)
+    for k0, k1 in zip(blocks[1:], blocks[2:]):
+        out += lane_product(x[k0:k1].T, d[k0:k1], np.empty_like(out))
 
 
 @dataclass

@@ -11,7 +11,8 @@ first on the calling thread and the others on one standard-library thread
 pool, started by the first pass that splits (``run_lanes``). There are as
 many lanes as the cores BLAS leaves idle (``lanes``), and a product is
 split only where each slice rounds exactly as the whole does
-(``product_lanes``), so the bytes do not depend on the lane count.
+(``product_lanes``), so the bytes do not depend on the lane count. A
+product over all rows of a batch splits through ``lane_product``.
 """
 
 from __future__ import annotations
@@ -212,6 +213,15 @@ def run_lanes(fn, n: int, k: int) -> None:
                 raise error
     finally:
         _lanes_busy.release()
+
+
+def lane_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = a @ b`` on lanes of a's rows (``product_lanes``); returns
+    ``out``, which the caller allocates: an array a lane allocated would
+    stay in its thread's malloc arena."""
+    run_lanes(lambda lo, hi: matmul(a[lo:hi], b, out=out[lo:hi]),
+              a.shape[0], product_lanes(a.shape[0], *b.shape))
+    return out
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

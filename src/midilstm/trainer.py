@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, Vocabulary, make_windows
+from .corpus import Dataset, Vocabulary, atomic_write, make_windows
 from .errors import (
     BadCheckpoint,
     DataError,
@@ -102,7 +102,7 @@ class MetricsRow:
 
 
 def write_metrics(path, rows: list[MetricsRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(MetricsRow.CSV_HEADER + "\n")
         for row in rows:
             fh.write(row.csv_line() + "\n")
@@ -279,7 +279,7 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     named = params.named_params()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))

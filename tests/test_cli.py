@@ -1,16 +1,21 @@
 import argparse
+import itertools
 import json
+import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import looped_song
 from midilstm import cli
+from midilstm import corpus as corpus_module
 from midilstm.cli import build_parser, main
 from midilstm.corpus import CorpusFile, Vocabulary, load_corpus, save_corpus
 from midilstm.midi_io import (
@@ -27,6 +32,7 @@ from midilstm.numerics import Rng
 from midilstm.score import events_to_piece
 from midilstm.trainer import load_checkpoint, save_checkpoint
 
+TRACK_END = b"MTrk" + struct.pack(">I", 4) + b"\x00\xff\x2f\x00"
 TRAIN_FLAGS = ["--epochs", "2", "--hidden", "16", "--batch-size", "8",
                "--dropout", "0", "--checkpoint-every", "0"]
 
@@ -175,6 +181,13 @@ class TestTrain:
         assert main(["train", "--corpus", str(corpus), "--out", str(out), *TRAIN_FLAGS,
                      "--holdout", "0.1"]) == 2
         assert "EmptyDataset: holdout fraction left no training windows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_holdout_of_one_is_usage_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["train", "--corpus", str(pipeline / "corpus.txt"), "--out", str(out),
+                     *TRAIN_FLAGS, "--holdout", "1"]) == 1
+        assert "holdout 1.0 outside [0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_header_field_without_equals_is_data_error(self, pipeline, tmp_path, capsys):
@@ -431,6 +444,32 @@ class TestEval:
         assert "BadCheckpoint" in captured.err
         assert captured.out == ""
 
+    def test_corpus_of_songs_no_longer_than_a_window_is_data_error(self, pipeline, capsys):
+        corpus = load_corpus(pipeline / "corpus.txt")  # the same tokens, cut into L-token songs
+        L = corpus.window_len
+        corpus.songs = [(notes[i:i + L], durs[i:i + L])
+                        for notes, durs in corpus.songs for i in range(0, len(notes), L)]
+        save_corpus(pipeline / "short.txt", corpus)
+        assert main(["eval", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                     "--corpus", str(pipeline / "short.txt")]) == 2
+        captured = capsys.readouterr()
+        assert "EmptyDataset: no windows to evaluate" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["layer0.forget.b", "head_note.w"])
+    def test_parameter_of_the_wrong_shape_is_data_error(self, pipeline, capsys, name):
+        data = bytearray((pipeline / "checkpoint.bin").read_bytes())
+        at = data.index(struct.pack("<H", len(name)) + name.encode()) + 2 + len(name)
+        rows, cols = struct.unpack_from("<II", data, at)
+        struct.pack_into("<II", data, at, cols, rows)  # the same values, transposed
+        path = pipeline / "transposed.bin"
+        path.write_bytes(data)
+        assert main(["eval", "--checkpoint", str(path),
+                     "--corpus", str(pipeline / "corpus.txt")]) == 2
+        captured = capsys.readouterr()
+        assert f"BadCheckpoint: parameter {name!r} has shape ({cols}, {rows})" in captured.err
+        assert captured.out == ""
+
 
 class TestVariants:
     def test_two_variants(self, pipeline):
@@ -578,6 +617,34 @@ class TestChecks:
         assert main(["roundtrip", str(broken)]) == 2
         assert "ERROR" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("data, error", [
+        (b"MThd" + struct.pack(">IHHH", 5, 0, 1, 96) + b"\x00" + TRACK_END, "BadHeader"),
+        (b"MThd" + struct.pack(">IHHH", 6, 0, 1, 0) + TRACK_END, "BadHeader"),
+        (b"MThd" + struct.pack(">IHHH", 6, 1, 0, 96), "BadHeader"),
+        (b"MThd" + struct.pack(">IHHH", 6, 0, 1, 96)  # a tempo meta event of 0
+         + b"MTrk" + struct.pack(">I", 11) + b"\x00\xff\x51\x03\x00\x00\x00\x00\xff\x2f\x00",
+         "BadEvent"),
+    ], ids=["header-length-5", "division-0", "format-1-no-tracks", "tempo-0"])
+    def test_roundtrip_reports_a_bad_header_or_event(self, tmp_path, capsys, data, error):
+        path = tmp_path / "bad.mid"
+        path.write_bytes(data)
+        assert main(["roundtrip", str(path)]) == 2
+        assert f"ERROR {path}: {error}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("writer, reason", [
+        (lambda mf: write_midi(replace(mf, division=mf.division + 1)),
+         "reparse is not event-equivalent"),
+        (lambda mf, calls=itertools.count(): write_midi(mf)  # a chunk after the tracks,
+         + b"XTRA" + struct.pack(">I", 1) + bytes([next(calls)]),  # which parsing skips
+         "canonical form is not a write fixed point"),
+    ], ids=["not-equivalent", "not-a-fixed-point"])
+    def test_roundtrip_fails_on_a_writer_that_is_not_a_fixed_point(self, midi_dir, monkeypatch,
+                                                                   capsys, writer, reason):
+        path = sorted(midi_dir[0].glob("*.mid"))[0]
+        monkeypatch.setattr(cli, "write_midi", writer)
+        assert main(["roundtrip", str(path)]) == 3
+        assert capsys.readouterr().out == f"FAIL {path}: {reason}\n"
+
 
 # each command's flags: the four that resolve a config take --seed, --config,
 # --out and one flag per config key they read
@@ -715,6 +782,88 @@ class TestUsage:
         with pytest.raises(ValueError, match="internal fault"):
             main(["eval", "--checkpoint", str(pipeline / "checkpoint.bin"),
                   "--corpus", str(pipeline / "corpus.txt")])
+
+
+ARTIFACTS = ["corpus.txt", "ingest_manifest.json", "checkpoint_ep0001.bin", "checkpoint.bin",
+             "metrics.csv", "train_manifest.json", "out_000.mid", "out_000.tokens",
+             "generate_manifest.json"]
+
+
+def write_artifacts(midi_dir, out, inputs) -> list[int]:
+    """Exit codes of ingest, train and generate into ``out``, the last two
+    reading the corpus and checkpoint in ``inputs``."""
+    return [main(["ingest", "--midi-dir", str(midi_dir), "--out", str(out), "--window-len", "10"]),
+            main(["train", "--corpus", str(inputs / "corpus.txt"), "--out", str(out),
+                  "--epochs", "1", "--hidden", "8", "--batch-size", "8",
+                  "--checkpoint-every", "1"]),
+            main(["generate", "--checkpoint", str(inputs / "checkpoint.bin"),
+                  "--corpus", str(inputs / "corpus.txt"), "--out", str(out),
+                  "--length", "20", "--tokens"])]
+
+
+class CutFile:
+    """A write handle that writes its first ``budget`` bytes, then raises."""
+
+    def __init__(self, fh, budget: int):
+        self.fh, self.left = fh, budget
+
+    def write(self, data):
+        if len(data) > self.left:  # every text artifact is ASCII: a character is a byte
+            self.fh.write(data[:self.left])
+            self.fh.flush()
+            raise OSError("injected: write cut")
+        self.left -= len(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_a_write_cut_after_k_bytes_leaves_the_artifact_as_it_was(tmp_path, midi_dir,
+                                                                  monkeypatch, capsys, name):
+    """Every artifact of ingest, train and generate is written through a
+    sibling temp file: with the write of ``name`` cut after k bytes, for
+    several k, ``name`` is absent or holds its previous bytes, every other
+    artifact is that or whole, and no temp file is left behind."""
+    real_open, opened, cut = open, [], {}
+
+    def cutting_open(file, mode="r", **kwargs):
+        fh = real_open(file, mode, **kwargs)
+        if "w" not in mode:
+            return fh
+        opened.append(Path(file).name)
+        return CutFile(fh, cut.get(Path(file).name, math.inf))
+
+    monkeypatch.setattr(corpus_module, "open", cutting_open, raising=False)
+    clean = tmp_path / "clean"
+    assert write_artifacts(midi_dir[0], clean, clean) == [0, 0, 0]
+    assert sorted(opened) == sorted(f"{a}.tmp" for a in ARTIFACTS)
+    assert sorted(os.listdir(clean)) == sorted(ARTIFACTS)
+    whole = {a: (clean / a).read_bytes() for a in ARTIFACTS}
+
+    size = len(whole[name])
+    for k, previous in [(0, None), (size // 2, None), (1, b"previous\n"),
+                        (size // 2, b"previous\n"), (size - 1, b"previous\n")]:
+        cut[f"{name}.tmp"] = k
+        out = tmp_path / f"cut{k}{previous is None}"
+        if previous is not None:
+            out.mkdir()
+            for a in ARTIFACTS:
+                (out / a).write_bytes(previous)
+        assert sorted(write_artifacts(midi_dir[0], out, clean)) == [0, 0, 2]
+        assert "injected: write cut" in capsys.readouterr().err
+        left = sorted(os.listdir(out))
+        assert set(left) <= set(ARTIFACTS), left  # no temp file
+        for a in ARTIFACTS:
+            data = (out / a).read_bytes() if a in left else None
+            assert data in ((previous,) if a == name else (previous, whole[a])), (k, a)
 
 
 @pytest.mark.parametrize("batch_size", [

@@ -111,6 +111,11 @@ class TestWindows:
         assert len(windows) == 5 + 0 + 30
         assert skipped == 1
 
+    @pytest.mark.parametrize("notes, durs", [(["60"], [1, 2]), (["60", "62"], [1])])
+    def test_streams_of_different_lengths_rejected(self, notes, durs):
+        with pytest.raises(BadCorpusFile, match="differ in length"):
+            encode_songs([(notes, durs)], build_vocab(["60", "62"]), build_vocab([1, 2]))
+
     def test_streams_stay_aligned(self):
         notes = ["60", "62", "64", "65", "67"]
         durs = [1, 2, 3, 4, 6]

@@ -220,6 +220,11 @@ class TestEmit:
         with pytest.raises(BadToken):
             emit(["60"], [0], grid=12)
 
+    @pytest.mark.parametrize("notes, durs", [(["60"], []), (["60", "62"], [3])])
+    def test_streams_of_different_lengths_rejected(self, notes, durs):
+        with pytest.raises(BadToken, match="differ in length"):
+            emit(notes, durs, grid=12)
+
     def test_emitted_piece_renders_to_midi(self):
         from midilstm.midi_io import parse_midi, write_midi
         from midilstm.score import events_to_piece, piece_to_midi

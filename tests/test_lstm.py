@@ -205,6 +205,24 @@ class TestModelForward:
         note_probs, dur_probs, _ = model_forward(no_rows, no_rows, params)
         assert note_probs.shape == (0, 6) and dur_probs.shape == (0, 4)
 
+    @pytest.mark.parametrize("case", ["streams-differ", "dropout-without-rng",
+                                      "target-count"])
+    def test_bad_call_is_shape_mismatch(self, case):
+        config = small_config(hidden_sizes=(8, 6), dropout=0.3)
+        params = ModelParams.init(config, Rng(71))
+        note, dur, note_t, dur_t = random_inputs(config, Rng(73), batch=2)
+        if case == "streams-differ":
+            with pytest.raises(ShapeMismatch, match="id streams differ"):
+                model_forward(note, dur[:, 1:], params)
+        elif case == "dropout-without-rng":
+            with pytest.raises(ShapeMismatch, match="dropout needs an rng"):
+                model_forward(note, dur, params, train=True, dropout=config.dropout)
+        else:
+            _, _, cache = model_forward(note, dur, params, train=True, rng=Rng(5),
+                                        dropout=config.dropout)
+            with pytest.raises(ShapeMismatch, match="target count"):
+                model_backward(cache, note_t[:1], dur_t, params)
+
     def test_forget_bias_initialized_to_one(self):
         params = ModelParams.init(small_config(), Rng(67))
         named = dict(params.named_params())

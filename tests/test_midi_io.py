@@ -209,6 +209,18 @@ class TestWrite:
         with pytest.raises(InvariantViolation):
             write_midi(MidiFile(MidiFormat.SINGLE, 480, [track]))
 
+    @pytest.mark.parametrize("kind, message", [
+        (EndOfTrack(), "EndOfTrack before final event"),
+        (Tempo(0), "tempo 0 out of range"),
+        (Opaque(0x40, b"\x00"), "opaque status 0x40 invalid"),
+        (Opaque(0xFF, b""), "meta event with no type byte"),
+        ("a text", "unknown event kind"),
+    ], ids=["early-end", "tempo-0", "data-byte-status", "meta-without-type", "unknown-kind"])
+    def test_bad_event_is_invariant_violation(self, kind, message):
+        track = [MidiEvent(0, kind), MidiEvent(0, EndOfTrack())]
+        with pytest.raises(InvariantViolation, match=message):
+            write_midi(MidiFile(MidiFormat.SINGLE, 480, [track]))
+
 
 class TestRoundTrip:
     def test_random_files_event_equivalent(self):

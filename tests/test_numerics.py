@@ -19,7 +19,9 @@ from midilstm.numerics import (
     derive_seed,
     global_norm,
     k_blocks,
+    lane_product,
     matmul,
+    product_lanes,
     run_lanes,
     sigmoid,
     softmax,
@@ -383,3 +385,26 @@ class TestLanes:
             assert state.t == 2
             results.append((param.tobytes(), state.m.tobytes(), state.v.tobytes()))
         assert results[0] == results[1]
+
+    # (a rows, inner, b cols, transposed a, lanes at 3): the edges of the split rule
+    @pytest.mark.parametrize("m, k, n, transposed, split", [
+        (1, 512, 512, False, 1),  # one row is a GEMV
+        (2, 512, 2048, False, 1),  # at least 2 rows a lane
+        (4, 1536, 384, False, 2),
+        (64, 512, 500, False, 1),  # columns not a multiple of 8
+        (64, 64, 64, False, 1),  # a small-kernel product
+        (64, 512, 512, False, 3),
+        (256, 300, 1024, True, 3),  # a weight gradient's x.T over one K block
+    ])
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_lane_product_equals_the_whole_product(self, monkeypatch, lanes, m, k, n,
+                                                   transposed, split):
+        monkeypatch.setattr(numerics, "lanes", lambda: lanes)
+        assert product_lanes(m, k, n) == min(split, lanes)
+        rng = Rng(47)
+        a = rng.uniform_array(m * k).reshape((k, m) if transposed else (m, k)) - 0.5
+        a = a.T if transposed else a
+        b = rng.uniform_array(k * n).reshape(k, n) - 0.5
+        out = np.empty((m, n))
+        assert lane_product(a, b, out) is out
+        assert np.array_equal(out, a @ b)

@@ -153,6 +153,18 @@ class TestEmit:
             ]))
 
 
+    @pytest.mark.parametrize("convert, message", [
+        (lambda: events_to_piece(MidiFile(MidiFormat.SINGLE, 480, [[MidiEvent(0, EndOfTrack())]]),
+                                 grid=0), "grid must be >= 1"),
+        (lambda: piece_to_midi(Piece(grid=12, events=[], tempo=0)), "tempo 0 out of range"),
+        (lambda: piece_to_midi(Piece(grid=12, events=[NoteEvent(0, 1, (128,))])),
+         "pitch out of range"),
+    ], ids=["grid-0", "tempo-0", "pitch-128"])
+    def test_bad_input_is_invariant_violation(self, convert, message):
+        with pytest.raises(InvariantViolation, match=message):
+            convert()
+
+
 class TestRoundTrip:
     def test_random_pieces(self):
         rng = Rng(7)

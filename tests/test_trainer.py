@@ -7,7 +7,8 @@ import pytest
 from conftest import looped_song, song_dataset
 from midilstm import cli, numerics, trainer
 from midilstm.corpus import CorpusFile, Vocabulary, save_corpus
-from midilstm.errors import BadCheckpoint, EmptyDataset, TrainingDiverged, VocabMismatch
+from midilstm.errors import (BadCheckpoint, EmptyDataset, TrainingDiverged, UsageError,
+                             VocabMismatch)
 from midilstm.lstm import ModelConfig, ModelParams
 from midilstm.numerics import Rng, derive_seed
 from midilstm.trainer import (
@@ -91,6 +92,15 @@ class TestTrain:
     def test_batch_size_clamped_to_window_count(self):
         dataset, config, nv, dv = tiny_setup(epochs=1, batch_size=100_000)
         train(dataset, config, nv, dv)  # must not raise
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
+        ("clip_norm", float("inf"), "clip_norm inf must be finite"),
+    ])
+    def test_bad_config_is_usage_error(self, field, value, message):
+        _, config, _, _ = tiny_setup(**{field: value})
+        with pytest.raises(UsageError, match=message):
+            config.validate()
 
     def test_empty_dataset(self):
         dataset, config, nv, dv = tiny_setup(n_tokens=10, window_len=10)
