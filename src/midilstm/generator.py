@@ -7,10 +7,11 @@ to L windows are in flight at once and all of them consume the same token
 at the same step. They advance together as the rows of one batch, oldest
 first: at step t a window with zero state joins for the window that starts
 at token t, every row consumes token t (one batched product and one cell
-step per layer), and once the oldest row has consumed its L tokens its top
-h feeds the heads, the next token is sampled and the row leaves. The work
-per token is that of one full window, grouped into L-row products instead
-of L single-row ones.
+step per layer, on lanes of rows where every product of the step splits,
+see ``lstm.step_rows``), and once the oldest row has consumed its L tokens
+its top h feeds the heads, the next token is sampled and the row leaves.
+The work per token is that of one full window, grouped into L-row products
+instead of L single-row ones.
 
 Temperature divides the head logits before the softmax (applied here to
 log-probabilities, which is algebraically identical). The repetition guard

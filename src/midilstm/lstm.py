@@ -31,7 +31,8 @@ backward pass rebuilds one layer's c at a time from its gates, and releases
 each layer's cache once it has passed it.
 ``step_rows`` is the other way through the same cell: it advances a batch
 of windows that all read the same token by one step, which is how the
-generator runs its windows in flight; both paths end in ``heads``.
+generator runs its windows in flight, each lane of rows through every
+layer; both paths end in ``heads``.
 
 Inverted dropout is applied to each layer's h on the way up to the next
 layer (train mode only); the recurrent h -> h_next connection and the head
@@ -312,19 +313,30 @@ def step_rows(params: ModelParams, h: list[np.ndarray], c: list[np.ndarray],
     """Advance a batch of windows that all consume the token (note_id,
     dur_id) by one step. ``h[k]`` and ``c[k]`` are layer k's (rows, H)
     states and are replaced by the new ones. Per row this is the step
-    ``model_forward`` takes, up to the rounding of the batched products."""
-    nv = params.w_note.shape[1]
-    x = None
-    for k, layer in enumerate(params.layers):
-        H = layer.hidden_size
-        if x is None:  # layer 0: one gathered input row, shared by all rows
-            a = matmul(h[k], layer.w[:H])
-            a += layer.w[H + note_id] + layer.w[H + nv + dur_id] + layer.b[0]
-        else:
-            a = matmul(np.hstack([h[k], x]), layer.w)
-            a += layer.b
-        h[k], c[k] = cell_forward(a, c[k])
-        x = h[k]
+    ``model_forward`` takes, up to the rounding of the batched products.
+
+    The step runs on lanes of rows, each through every layer, as many as
+    the step's products all allow (``product_lanes``), so the bytes do not
+    depend on the lane count."""
+    first = params.layers[0]
+    H0, nv = first.hidden_size, params.w_note.shape[1]
+    # each layer's weight and the row added to its product: for layer 0 the
+    # recurrent weight and one gathered input row, shared by all rows
+    terms = [(first.w[:H0], first.w[H0 + note_id] + first.w[H0 + nv + dur_id] + first.b[0]),
+             *((layer.w, layer.b) for layer in params.layers[1:])]
+    rows = h[0].shape[0]
+    new_h, new_c = [np.empty_like(s) for s in h], [np.empty_like(s) for s in c]
+
+    def step(lo: int, hi: int) -> None:  # rows [lo, hi), every layer
+        x = None
+        for k, (w, row) in enumerate(terms):
+            a = matmul(h[k][lo:hi] if x is None else np.hstack([h[k][lo:hi], x]), w)
+            a += row
+            x, new_c[k][lo:hi] = cell_forward(a, c[k][lo:hi])
+            new_h[k][lo:hi] = x
+
+    run_lanes(step, rows, min(product_lanes(rows, *w.shape) for w, _ in terms))
+    h[:], c[:] = new_h, new_c
 
 
 def model_backward(cache: ForwardCache, note_targets: np.ndarray,

@@ -6,13 +6,14 @@ model code, 1-D for the whole-arena passes. Operations are deterministic:
 identical inputs (and RNG seed) reproduce bit-identical outputs on the same
 machine, which is what makes checkpoints and generated files reproducible.
 
-The batch passes run on lanes: contiguous row slices of one batch, the
-first on the calling thread and the others on one standard-library thread
-pool, started by the first pass that splits (``run_lanes``). There are as
-many lanes as the cores BLAS leaves idle (``lanes``), and a product is
-split only where each slice rounds exactly as the whole does
-(``product_lanes``), so the bytes do not depend on the lane count. A
-product over all rows of a batch splits through ``lane_product``.
+The batch passes and each generation step run on lanes: contiguous row
+slices of one batch (or of one step's windows), the first on the calling
+thread and the others on one standard-library thread pool, started by the
+first pass that splits (``run_lanes``). There are as many lanes as the
+cores BLAS leaves idle (``lanes``), and a product is split only where each
+slice rounds exactly as the whole does (``product_lanes``), so the bytes
+do not depend on the lane count. A product over all rows of a batch
+splits through ``lane_product``.
 """
 
 from __future__ import annotations

@@ -323,6 +323,26 @@ class TestGenerate:
             assert song["distinct_note_ratio"] == len(set(notes)) / 30
             assert song["guard_triggers"] >= song["guard_saturations"] == 0
 
+    def test_saturated_guard_warns(self, pipeline, capsys):
+        # a note head with all its mass on one token: every other probability
+        # underflows to 0, so the guard has nothing to exclude it for
+        ckpt = load_checkpoint(pipeline / "checkpoint.bin")
+        ckpt.params.w_note[...] = 0.0
+        ckpt.params.b_note[...] = 0.0
+        ckpt.params.b_note[0, 0] = 800.0
+        rigged = pipeline / "rigged.bin"
+        save_checkpoint(rigged, ckpt.params, ckpt.config, ckpt.note_vocab, ckpt.dur_vocab,
+                        ckpt.epoch, ckpt.final_loss)
+        out = pipeline / "gen"
+        assert main(["generate", "--checkpoint", str(rigged),
+                     "--corpus", str(pipeline / "corpus.txt"), "--out", str(out),
+                     "--count", "2", "--length", "20", "--repeat-cap", "2"]) == 0
+        songs = json.loads((out / "generate_manifest.json").read_text())["songs"]
+        assert len(songs) == 2
+        assert all(song["guard_saturations"] > 0 for song in songs)
+        total = sum(song["guard_saturations"] for song in songs)
+        assert f"warning: repetition guard saturated {total} time(s)" in capsys.readouterr().err
+
     def test_count_below_one_is_usage_error(self, pipeline):
         assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
                      "--corpus", str(pipeline / "corpus.txt"), "--out", str(pipeline / "g"),
@@ -899,6 +919,32 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, midi_dir, batc
                  for p in sorted(root.rglob("*")) if p.is_file()}
         trees.append((stdout, files))
     assert len(trees[0][1]) == 12  # corpus, 3 checkpoints, metrics, 4 song files, 3 manifests
+    assert trees[0] == trees[1]
+
+
+def test_generation_on_row_lanes_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """Songs of a 2x256 model, generated in a child process at 1 and at 2
+    BLAS threads: at 1 on a machine of 2 or more cores, ``lanes()`` splits
+    each wavefront step of 8 or more rows. Every output byte and all stdout
+    must match."""
+    src = Path(cli.__file__).parent.parent
+    save_corpus(tmp_path / "corpus.txt", CorpusFile(12, 16, 48, [looped_song(37, n_tokens=40)]))
+    assert main(["train", "--corpus", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "run"),
+                 "--epochs", "0", "--hidden", "256,256"]) == 0
+    trees = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        root = tmp_path / f"threads{threads}"
+        root.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "midilstm.cli", "generate", "--checkpoint",
+                               "../run/checkpoint.bin", "--corpus", "../corpus.txt", "--out",
+                               "gen", "--count", "2", "--length", "60", "--tokens"],
+                              cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        files = {p.name: p.read_bytes() for p in sorted((root / "gen").iterdir())}
+        trees.append((proc.stdout.replace(str(root), "<root>"), files))
+    assert len(trees[0][1]) == 5  # 2 songs, their tokens and the manifest
     assert trees[0] == trees[1]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import looped_song, song_dataset
-from midilstm import generator
+from midilstm import generator, numerics
 from midilstm.corpus import Vocabulary
 from midilstm.errors import BadToken, CorpusTooShort, VocabMismatch
 from midilstm.generator import GenConfig, GenResult, emit, generate, pick_seed
@@ -19,6 +19,19 @@ def setup_model(seed=7, window_len=10, n_pitches=6, hidden=(16,)):
     params = ModelParams.init(config, Rng(seed))
     seed_notes, seed_durs = notes[:window_len], durs[:window_len]
     return params, config, note_vocab, dur_vocab, seed_notes, seed_durs, dataset
+
+
+def recorded_heads(monkeypatch) -> list:
+    """The (note, duration) rows of every ``heads`` call ``generate`` makes
+    from here on."""
+    rows = []
+
+    def recorded(h_top, params):
+        rows.append(heads(h_top, params))
+        return rows[-1]
+
+    monkeypatch.setattr(generator, "heads", recorded)
+    return rows
 
 
 def rig_note_head(params, note_id, bias=50.0):
@@ -122,13 +135,7 @@ class TestWavefront:
     @pytest.mark.parametrize("length", [4, 10, 23])  # below, at and above the window
     def test_head_rows_match_model_forward_on_each_window(self, monkeypatch, length):
         params, config, nv, dv, sn, sd, _ = setup_model(hidden=(16, 12))
-        rows = []
-
-        def recorded(h_top, params):
-            rows.append(heads(h_top, params))
-            return rows[-1]
-
-        monkeypatch.setattr(generator, "heads", recorded)
+        rows = recorded_heads(monkeypatch)
         result = generate(params, nv, dv, sn, sd, GenConfig(length=length), Rng(12))
         notes = [nv.encode(t) for t in sn + result.notes]
         durs = [dv.encode(d) for d in sd + result.durs]
@@ -139,6 +146,27 @@ class TestWavefront:
                                  params)[:2]
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("mode", ["sample", "argmax"])
+    def test_generation_does_not_depend_on_the_lane_count(self, monkeypatch, mode):
+        L, H = 16, 256  # a full wavefront of L rows splits in every product of a step
+        params, config, nv, dv, sn, sd, _ = setup_model(window_len=L, hidden=(H, H))
+        rows = recorded_heads(monkeypatch)
+        results, probs = [], []
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(numerics, "lanes", lambda: lanes)
+            assert numerics.product_lanes(L, H, 4 * H) == numerics.product_lanes(
+                L, 2 * H, 4 * H) == lanes
+            result = generate(params, nv, dv, sn, sd,
+                              GenConfig(length=60, mode=mode, repeat_cap=2), Rng(13))
+            results.append((result.notes, result.durs, result.guard_triggers,
+                            result.guard_saturations))
+            probs.append(np.concatenate([p for row in rows for p in row], axis=1))
+            rows.clear()
+        assert results[0][2] > 0  # the guard acted, so its counts are compared too
+        for lanes in (2, 3):
+            assert results[lanes - 1] == results[0], lanes
+            assert np.array_equal(probs[lanes - 1], probs[0]), lanes  # bit for bit
 
     def test_stats(self):
         result = GenResult(["60", "60", "62", "60", "60", "60"], [3] * 6,

@@ -150,12 +150,16 @@ class TestModelForward:
         for g, w in zip(got, full_buffer_infer(note, dur, params, config)):
             assert np.array_equal(g, w)
 
-    def test_infer_peak_memory_is_one_layer(self):
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_infer_peak_memory_is_one_layer(self, monkeypatch, lanes):
         L, B, H = 20, 64, 64
+        monkeypatch.setattr(numerics, "lanes", lambda: lanes)
+        assert numerics.product_lanes(L * B, H, 4 * H) == lanes  # the upper input products
         config = small_config(note_vocab_size=30, dur_vocab_size=10, hidden_sizes=(H, H, H),
                               window_len=L)
         params = ModelParams.init(config, Rng(61))
         note, dur, _, _ = random_inputs(config, Rng(62), batch=B)
+        model_forward(note, dur, params)  # starts the lane pool outside the traced pass
         tracemalloc.start()
         try:
             model_forward(note, dur, params)
