@@ -36,7 +36,7 @@ from .generator import GenConfig, emit, generate, pick_seed
 from .lstm import ModelConfig, grad_check, reference_check_config
 from .midi_io import events_equivalent, parse_midi, write_midi
 from .numerics import Rng, derive_seed
-from .score import DEFAULT_GRID, events_to_piece, piece_to_midi
+from .score import DEFAULT_GRID, MAX_GRID, events_to_piece, piece_to_midi
 from .trainer import TrainConfig, evaluate, load_checkpoint, train, write_metrics
 
 EXIT_OK = 0
@@ -171,6 +171,8 @@ def cmd_ingest(args) -> int:
     for key in _INGEST_DEFAULTS:  # the bounds load_corpus enforces on the header
         if cfg[key] < 1:
             raise UsageError(f"{key} {cfg[key]} must be >= 1")
+    if cfg["grid"] > MAX_GRID:
+        raise UsageError(f"grid {cfg['grid']} must be <= {MAX_GRID}")
     midi_dir = Path(args.midi_dir)
     if not midi_dir.is_dir():
         raise NoUsableFiles(f"{midi_dir} is not a directory")

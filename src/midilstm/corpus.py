@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadCorpusFile, BadToken, IndexOutOfRange
-from .score import Piece
+from .score import MAX_GRID, Piece
 
 REST_TOKEN = "R"
 DEFAULT_WINDOW = 50
@@ -35,21 +35,27 @@ def note_token(pitches: tuple[int, ...]) -> str:
     return ".".join(str(p) for p in pitches) if pitches else REST_TOKEN
 
 
+def _canonical_int(text: str) -> int:
+    """The integer ``text`` spells the way ``str`` spells it (no sign, zero
+    padding, separators or non-ASCII digits), else ValueError."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"non-canonical integer {text!r}")
+    return value
+
+
 def parse_note_token(text: str) -> tuple[int, ...]:
     """Inverse of note_token. Rejects anything non-canonical."""
     if text == REST_TOKEN:
         return ()
-    parts = text.split(".")
     try:
-        pitches = tuple(int(p) for p in parts)
-    except ValueError:
-        raise BadToken(f"unparseable note token {text!r}") from None
+        pitches = tuple(_canonical_int(p) for p in text.split("."))
+    except ValueError as exc:
+        raise BadToken(f"unparseable note token {text!r}: {exc}") from None
     if any(not 0 <= p <= 127 for p in pitches):
         raise BadToken(f"pitch out of range in token {text!r}")
     if list(pitches) != sorted(set(pitches)):
         raise BadToken(f"pitches not strictly ascending in token {text!r}")
-    if any(str(p) != part for p, part in zip(pitches, parts)):
-        raise BadToken(f"non-canonical pitch spelling in token {text!r}")
     return pitches
 
 
@@ -174,7 +180,7 @@ def parse_song_line(line: str, accepted: set | None = None) -> tuple[list[str], 
             parse_note_token(token)
             accepted.add(token)
         try:
-            dur = int(dur_text)
+            dur = _canonical_int(dur_text)
         except ValueError:
             raise BadCorpusFile(f"bad duration in field {field_text!r}") from None
         if dur < 1:
@@ -227,7 +233,7 @@ def load_corpus(path) -> CorpusFile:
         if not sep:
             raise BadCorpusFile(f"bad header field {part!r}")
         try:
-            header[key] = int(value)
+            header[key] = _canonical_int(value)
         except ValueError:
             raise BadCorpusFile(f"bad header field {part!r}") from None
     for key in ("grid", "L", "max_dur"):
@@ -235,6 +241,8 @@ def load_corpus(path) -> CorpusFile:
             raise BadCorpusFile(f"header missing {key!r}")
         if header[key] < 1:
             raise BadCorpusFile(f"header {key}={header[key]} must be >= 1")
+    if header["grid"] > MAX_GRID:
+        raise BadCorpusFile(f"header grid={header['grid']} must be <= {MAX_GRID}")
     accepted: set[str] = set()  # each distinct note token is validated once
     songs = [parse_song_line(line, accepted) for line in lines[1:] if line.strip()]
     for notes, durs in songs:

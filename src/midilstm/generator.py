@@ -13,13 +13,15 @@ its top h feeds the heads, the next token is sampled and the row leaves.
 The work per token is that of one full window, grouped into L-row products
 instead of L single-row ones.
 
-Temperature divides the head logits before the softmax (applied here to
+``_select`` is the one place that applies the mode and the temperature.
+Temperature divides the head logits before the softmax (applied there to
 log-probabilities, which is algebraically identical). The repetition guard
-breaks the failure mode where a model locks onto one note: once the last
-``repeat_cap`` emitted notes are identical, that note id is excluded from
-the selection and the rest of the distribution is renormalized. If nothing
-else has any probability mass the note is emitted anyway and counted as a
-guard saturation.
+breaks the failure mode where a model locks onto one note: when the drawn
+note equals each of the last ``repeat_cap`` emitted notes, that note id is
+excluded from the head distribution, the rest is renormalized and drawn
+from again. Seed notes never count towards the cap. If nothing else has any
+probability mass the note is emitted anyway and counted as a guard
+saturation.
 """
 
 from __future__ import annotations
@@ -70,18 +72,14 @@ def pick_seed(dataset: Dataset, rng: Rng) -> tuple[int, int]:
         pick -= count
 
 
-def _tempered(probs: np.ndarray, temperature: float) -> np.ndarray:
-    """softmax(logits / T) recovered from the probability row."""
-    if temperature == 1.0:
-        return probs
-    with np.errstate(divide="ignore"):
-        logp = np.log(probs)
-    return softmax(logp / temperature)
-
-
-def _select(probs: np.ndarray, mode: str, rng: Rng) -> int:
-    if mode == "argmax":
+def _select(probs: np.ndarray, config: GenConfig, rng: Rng) -> int:
+    """The id the mode picks from a probability row: its argmax, or a draw
+    from softmax(log(probs) / T), the row's logits over the temperature."""
+    if config.mode == "argmax":
         return int(np.argmax(probs))
+    if config.temperature != 1.0:
+        with np.errstate(divide="ignore"):
+            probs = softmax(np.log(probs) / config.temperature)
     cum = np.cumsum(probs)
     idx = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
     return min(idx, probs.shape[0] - 1)
@@ -122,13 +120,8 @@ def generate(params: ModelParams, note_vocab: Vocabulary, dur_vocab: Vocabulary,
         raise BadToken("seed streams must be equal-length and non-empty")
     note_ids = [note_vocab.encode(tok) for tok in seed_notes]
     dur_ids = [dur_vocab.encode(tok) for tok in seed_durs]
-    L, n = len(note_ids), config.length
-
-    out_notes: list[str] = []
-    out_durs: list[int] = []
+    L, n, cap = len(note_ids), config.length, config.repeat_cap
     saturations = triggers = 0
-    run_id = -1
-    run_len = 0
     h = [np.zeros((0, layer.hidden_size)) for layer in params.layers]
     c = list(h)
 
@@ -141,44 +134,23 @@ def generate(params: ModelParams, note_vocab: Vocabulary, dur_vocab: Vocabulary,
         # the oldest window has consumed its L tokens: it yields token t + 1
         note_probs, dur_probs = heads(h[-1][:1], params)
         h, c = [s[1:] for s in h], [s[1:] for s in c]
-        note_base = note_probs[0]
-        if config.mode == "argmax":
-            note_p = note_base
-            dur_p = dur_probs[0]
-        else:
-            note_p = _tempered(note_base, config.temperature)
-            dur_p = _tempered(dur_probs[0], config.temperature)
-
-        note_id = _select(note_p, config.mode, rng)
-        if config.repeat_cap > 0 and run_len >= config.repeat_cap and note_id == run_id:
-            # exclude from the raw head distribution and re-apply temperature:
-            # tempering after the exclusion is the same distribution but does
-            # not underflow at small temperatures
+        note_id = _select(note_probs[0], config, rng)
+        if cap and len(note_ids) >= L + cap and note_ids[-cap:] == [note_id] * cap:
+            # exclude from the head distribution, then temper: tempering
+            # after the exclusion does not underflow at small temperatures
             triggers += 1
-            masked = note_base.copy()
+            masked = note_probs[0].copy()
             masked[note_id] = 0.0
             total = masked.sum()
             if total > 0.0:
-                masked /= total
-                if config.mode != "argmax":
-                    masked = _tempered(masked, config.temperature)
-                note_id = _select(masked, config.mode, rng)
+                note_id = _select(masked / total, config, rng)
             else:
                 saturations += 1
-        dur_id = _select(dur_p, config.mode, rng)
-
-        if note_id == run_id:
-            run_len += 1
-        else:
-            run_id = note_id
-            run_len = 1
-
-        out_notes.append(note_vocab.decode(note_id))
-        out_durs.append(dur_vocab.decode(dur_id))
         note_ids.append(note_id)
-        dur_ids.append(dur_id)
+        dur_ids.append(_select(dur_probs[0], config, rng))
 
-    return GenResult(out_notes, out_durs, saturations, triggers)
+    return GenResult([note_vocab.decode(i) for i in note_ids[L:]],
+                     [dur_vocab.decode(i) for i in dur_ids[L:]], saturations, triggers)
 
 
 def emit(notes, durs, grid: int) -> Piece:

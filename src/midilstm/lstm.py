@@ -266,14 +266,15 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
     h = keep_below = None
     for layer, H, keep in zip(params.layers, sizes, keeps):
         w_h, w_x = layer.w[:H], layer.w[H:]
-        first = h is None
-        if first:  # layer 0: the one-hot product is a row gather; the
-            # duration rows and the bias join step by step below
+        if h is None:  # layer 0: the one-hot product is a row gather, the
+            # duration rows a step at a time so no second (L, B, 4H) gather lives
             acts = w_x[note_ids.T]
+            for t in range(L):
+                acts[t] += w_x[nv + dur_ids[:, t]]
         else:  # one product over all L*B rows of the layer below's dropped h
             x = _dropped(h[1:], keep_below, drop).reshape(L * B, -1)
             acts = lane_product(x, w_x, np.empty((L * B, 4 * H))).reshape(L, B, 4 * H)
-            acts += layer.b
+        acts += layer.b
         x = h = None  # x may view h; unless the cache holds h, free it
         h = np.zeros((L + 1, B, H))
 
@@ -281,9 +282,6 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
             c = np.zeros((hi - lo, H))
             for t in range(L):
                 a = acts[t, lo:hi]
-                if first:
-                    a += w_x[nv + dur_ids[lo:hi, t]]
-                    a += layer.b
                 if t:
                     a += matmul(h[t, lo:hi], w_h)
                 h[t + 1, lo:hi], c = cell_forward(a, c)
@@ -311,13 +309,15 @@ def heads(h_top: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarra
 def step_rows(params: ModelParams, h: list[np.ndarray], c: list[np.ndarray],
               note_id: int, dur_id: int) -> None:
     """Advance a batch of windows that all consume the token (note_id,
-    dur_id) by one step. ``h[k]`` and ``c[k]`` are layer k's (rows, H)
-    states and are replaced by the new ones. Per row this is the step
-    ``model_forward`` takes, up to the rounding of the batched products.
+    dur_id) by one step, in place: ``h[k]`` and ``c[k]`` are layer k's
+    (rows, H) states, and each of their rows is overwritten by its new one.
+    Per row this is the step ``model_forward`` takes, up to the rounding of
+    the batched products.
 
     The step runs on lanes of rows, each through every layer, as many as
     the step's products all allow (``product_lanes``), so the bytes do not
-    depend on the lane count."""
+    depend on the lane count. A lane reads its rows of layer k before it
+    writes them, and no other lane touches them."""
     first = params.layers[0]
     H0, nv = first.hidden_size, params.w_note.shape[1]
     # each layer's weight and the row added to its product: for layer 0 the
@@ -325,18 +325,16 @@ def step_rows(params: ModelParams, h: list[np.ndarray], c: list[np.ndarray],
     terms = [(first.w[:H0], first.w[H0 + note_id] + first.w[H0 + nv + dur_id] + first.b[0]),
              *((layer.w, layer.b) for layer in params.layers[1:])]
     rows = h[0].shape[0]
-    new_h, new_c = [np.empty_like(s) for s in h], [np.empty_like(s) for s in c]
 
     def step(lo: int, hi: int) -> None:  # rows [lo, hi), every layer
         x = None
         for k, (w, row) in enumerate(terms):
             a = matmul(h[k][lo:hi] if x is None else np.hstack([h[k][lo:hi], x]), w)
             a += row
-            x, new_c[k][lo:hi] = cell_forward(a, c[k][lo:hi])
-            new_h[k][lo:hi] = x
+            x, c[k][lo:hi] = cell_forward(a, c[k][lo:hi])
+            h[k][lo:hi] = x
 
     run_lanes(step, rows, min(product_lanes(rows, *w.shape) for w, _ in terms))
-    h[:], c[:] = new_h, new_c
 
 
 def model_backward(cache: ForwardCache, note_targets: np.ndarray,

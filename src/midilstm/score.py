@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, NoNotes
 from .midi_io import (
+    DIVISION_MAX,
     EndOfTrack,
     MidiEvent,
     MidiFile,
@@ -30,6 +31,7 @@ from .midi_io import (
 DEFAULT_GRID = 12
 DEFAULT_TEMPO = 500_000  # microseconds per quarter = 120 BPM
 EMIT_VELOCITY = 64
+MAX_GRID = DIVISION_MAX // 4  # piece_to_midi writes 4 ticks per grid unit
 
 
 @dataclass(frozen=True)

@@ -325,6 +325,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         header = json.loads(blob.decode("utf-8"))
         config = TrainConfig.from_dict(header["config"])
+        config.validate()
         values = sum((rows + 1) * cols for rows, cols in config.model.weight_shapes())
         if 8 * values > len(data) - pos:  # before allocating what the header declares
             raise BadCheckpoint(f"header declares {values} parameter values, "
@@ -334,6 +335,10 @@ def load_checkpoint(path) -> Checkpoint:
         dur_vocab = Vocabulary(header["dur_vocab"])
         params.check_vocabs(note_vocab, dur_vocab)
         epoch, final_loss = header["epoch"], header["final_loss"]
+        if type(epoch) is not int or epoch < 0:
+            raise BadCheckpoint(f"epoch {epoch!r} is not an integer >= 0")
+        if type(final_loss) not in (int, float):  # NaN after `train --epochs 0`
+            raise BadCheckpoint(f"final_loss {final_loss!r} is not a number")
     except (ValueError, KeyError, TypeError, DataError) as exc:
         raise BadCheckpoint(f"bad checkpoint header: {exc!r}") from None
 

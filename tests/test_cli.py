@@ -146,6 +146,32 @@ class TestIngest:
         assert "NoUsableFiles" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_beyond_a_midi_division(self, tmp_path, midi_dir, capsys):
+        d, _ = midi_dir
+        out = tmp_path / "o"
+        assert main(["ingest", "--midi-dir", str(d), "--out", str(out), "--grid", "8192"]) == 1
+        err = capsys.readouterr().err
+        assert "grid 8192 must be <= 8191" in err
+        assert "warning" not in err  # no MIDI file was read
+        assert not out.exists()
+        # the largest grid runs end to end: 4 ticks a unit fill the division
+        assert main(["ingest", "--midi-dir", str(d), "--out", str(out), "--grid", "8191",
+                     "--window-len", "10"]) == 0
+        corpus = out / "corpus.txt"
+        assert main(["train", "--corpus", str(corpus), "--out", str(out), "--epochs", "0",
+                     "--hidden", "4"]) == 0
+        assert main(["generate", "--checkpoint", str(out / "checkpoint.bin"), "--corpus",
+                     str(corpus), "--out", str(out / "gen"), "--length", "5"]) == 0
+        assert parse_midi((out / "gen" / "out_000.mid").read_bytes()).division == 32764
+        # a corpus whose header declares a larger grid fails before any work
+        head, rest = corpus.read_text().split("\n", 1)
+        corpus.write_text(head.replace("grid=8191", "grid=8192") + "\n" + rest)
+        capsys.readouterr()
+        assert main(["generate", "--checkpoint", str(out / "checkpoint.bin"), "--corpus",
+                     str(corpus), "--out", str(out / "gen2"), "--length", "5"]) == 2
+        assert "BadCorpusFile: header grid=8192 must be <= 8191" in capsys.readouterr().err
+        assert not (out / "gen2").exists()
+
     def test_nondefault_grid_recorded(self, tmp_path, midi_dir):
         d, _ = midi_dir
         out = tmp_path / "o"
@@ -416,6 +442,16 @@ class TestGenerate:
                      "--corpus", str(pipeline / "corpus.txt"),
                      "--out", str(pipeline / "gen"), "--seed-file", str(seed_path)]) == 2
         assert "BadCorpusFile" in capsys.readouterr().err
+
+    def test_non_canonical_seed_duration_is_data_error(self, pipeline, tmp_path, capsys):
+        fields = (pipeline / "corpus.txt").read_text().splitlines()[1].split()
+        note, dur = fields[-1].split(":")
+        seed_path = tmp_path / "seed.txt"
+        seed_path.write_text(" ".join([*fields[:-1], f"{note}:+{dur}"]) + "\n")
+        assert main(["generate", "--checkpoint", str(pipeline / "checkpoint.bin"),
+                     "--corpus", str(pipeline / "corpus.txt"),
+                     "--out", str(pipeline / "gen"), "--seed-file", str(seed_path)]) == 2
+        assert "BadCorpusFile: bad duration" in capsys.readouterr().err
 
     def test_short_seed_file_is_data_error(self, pipeline, tmp_path):
         seed_path = tmp_path / "seed.txt"

@@ -13,7 +13,7 @@ from midilstm.corpus import (
     tokenize,
 )
 from midilstm.errors import BadCorpusFile, BadToken, IndexOutOfRange
-from midilstm.score import NoteEvent, Piece
+from midilstm.score import MAX_GRID, NoteEvent, Piece
 
 
 class TestTokens:
@@ -163,17 +163,19 @@ class TestCorpusFile:
 
     def test_bad_header_values_rejected(self, tmp_path):
         path = tmp_path / "corpus.txt"
-        path.write_text("#grid=0 L=50 max_dur=48\n60:6\n")
-        with pytest.raises(BadCorpusFile):
-            load_corpus(path)
+        for header in ("#grid=0 L=50 max_dur=48", "#grid=+12 L=50 max_dur=48",
+                       "#grid=12 L=050 max_dur=48", "#grid=12 L=50 max_dur=4_8",
+                       f"#grid={MAX_GRID + 1} L=50 max_dur=48"):
+            path.write_text(header + "\n60:6\n")
+            with pytest.raises(BadCorpusFile):
+                load_corpus(path)
+        path.write_text(f"#grid={MAX_GRID} L=50 max_dur=48\n60:6\n")
+        assert load_corpus(path).grid == MAX_GRID == 8191
 
     def test_bad_field(self):
-        with pytest.raises(BadCorpusFile):
-            parse_song_line("60")
-        with pytest.raises(BadCorpusFile):
-            parse_song_line("60:x")
-        with pytest.raises(BadCorpusFile):
-            parse_song_line("60:0")
+        for field_text in ("60", "60:x", "60:0", "60:+3", "60:03", "60:0_3", "60:\u0663"):
+            with pytest.raises(BadCorpusFile):
+                parse_song_line(field_text)
         with pytest.raises(BadToken):
             parse_song_line("64.60:3")
 

@@ -201,6 +201,22 @@ class TestRepetitionGuard:
                           GenConfig(length=60, mode="sample", repeat_cap=3), Rng(8))
         assert longest_run(result.notes) <= 3
 
+    @pytest.mark.parametrize("cap", [2, 3])
+    @pytest.mark.parametrize("mode, temperature", [("argmax", 1.0), ("sample", 1.0),
+                                                   ("sample", 1e-3), ("sample", 1e-300)])
+    def test_only_emitted_notes_count_and_exclusion_comes_before_temperature(
+            self, mode, temperature, cap):
+        params, config, nv, dv, sn, sd, _ = setup_model()
+        rig_note_head(params, note_id=0)
+        rigged = nv.decode(0)
+        sn = sn[:-cap] + [rigged] * cap  # the seed ends in a full run of the note
+        result = generate(params, nv, dv, sn, sd,
+                          GenConfig(length=60, mode=mode, temperature=temperature,
+                                    repeat_cap=cap), Rng(14))
+        assert result.notes[:cap] == [rigged] * cap  # seed notes do not count
+        assert result.guard_triggers == 60 // (cap + 1)  # once after each run of cap
+        assert result.guard_saturations == 0  # the rest of the row survives tempering
+
     def test_guard_disabled_lets_run_fill_output(self):
         params, config, nv, dv, sn, sd, _ = setup_model()
         rig_note_head(params, note_id=0)

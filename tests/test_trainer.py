@@ -253,10 +253,20 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field, value", [("hidden_sizes", ["4"]), ("hidden_sizes", 4),
-                                              ("note_vocab_size", "6"), ("dropout", None)])
+                                              ("note_vocab_size", "6"), ("dropout", None),
+                                              ("lr", "x"), ("lr", -1.0), ("batch_size", 0),
+                                              ("optimizer", "rmsprop"), ("holdout", 1.0),
+                                              ("epoch", "x"), ("epoch", -1), ("epoch", 1.5),
+                                              ("epoch", True), ("final_loss", "x"),
+                                              ("final_loss", None)])
     def test_wrong_header_type(self, tmp_path, field, value):
         path = self.tiny_checkpoint(tmp_path)
-        self.rewrite_header(path, lambda h: h["config"]["model"].update({field: value}))
+
+        def edit(header):  # the field in the header, its config, or the model's
+            next(d for d in (header, header["config"], header["config"]["model"])
+                 if field in d)[field] = value
+
+        self.rewrite_header(path, edit)
         with pytest.raises(BadCheckpoint):
             load_checkpoint(path)
 
