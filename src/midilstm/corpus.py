@@ -230,8 +230,8 @@ def load_corpus(path) -> CorpusFile:
     header: dict[str, int] = {}
     for part in lines[0][1:].split():
         key, sep, value = part.partition("=")
-        if not sep:
-            raise BadCorpusFile(f"bad header field {part!r}")
+        if not sep or key not in ("grid", "L", "max_dur") or key in header:
+            raise BadCorpusFile(f"bad header field {part!r} (want grid, L, max_dur, once each)")
         try:
             header[key] = _canonical_int(value)
         except ValueError:

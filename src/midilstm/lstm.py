@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, ShapeMismatch, StaleCache, UsageError, VocabMismatch
-from .numerics import (CE_FLOOR, Rng, k_blocks, lane_product, matmul, product_lanes, run_lanes,
+from .numerics import (CE_FLOOR, Rng, lane_product, matmul, product_lanes, run_lanes,
                        sigmoid, softmax, xavier_init)
 
 GATES = ("forget", "input", "cand", "output")  # checkpoint and init order
@@ -412,7 +412,7 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
         run_lanes(bptt, B, product_lanes(B, *w_h.T.shape))
         c_all = None  # before the products below allocate
         d_acts = lc.acts.reshape(L * B, 4 * H)
-        _weight_grad(lc.h[:-1].reshape(L * B, H), d_acts, grad.w[:H])
+        lane_product(lc.h[:-1].reshape(L * B, H).T, d_acts, grad.w[:H])
         grad.b[...] = d_acts.sum(axis=0, keepdims=True)
         if li == 0:  # scatter-add at the ids, the transpose of the row gather
             # (a row loop: np.add.at is about 8x slower on 2-D rows)
@@ -425,23 +425,13 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
             break
         below = layers[li - 1]
         x = _dropped(below.h[1:], below.keep, cache.dropout)
-        _weight_grad(x.reshape(L * B, -1), d_acts, grad.w[H:])
+        lane_product(x.reshape(L * B, -1).T, d_acts, grad.w[H:])
         x = dh_in = None  # free both before allocating the next dh_in
         dh_in = lane_product(d_acts, w_x.T, np.empty((L * B, w_x.shape[0]))).reshape(L, B, -1)
         _dropped(dh_in, below.keep, cache.dropout, out=dh_in)
         layers[li] = lc = d_acts = None  # release
 
     return dict(grads.named_params())
-
-
-def _weight_grad(x: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
-    """``out = x.T @ d`` over the K rows of x and d, summed in the serial
-    BLAS driver's K blocks (``k_blocks``), so the same bytes at any BLAS
-    thread count: one ``lane_product`` per block."""
-    blocks = k_blocks(x.shape[0], out.size)
-    lane_product(x[:blocks[1]].T, d[:blocks[1]], out)
-    for k0, k1 in zip(blocks[1:], blocks[2:]):
-        out += lane_product(x[k0:k1].T, d[k0:k1], np.empty_like(out))
 
 
 @dataclass

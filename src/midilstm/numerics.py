@@ -9,15 +9,17 @@ machine, which is what makes checkpoints and generated files reproducible.
 The batch passes and each generation step run on lanes: contiguous row
 slices of one batch (or of one step's windows), the first on the calling
 thread and the others on one standard-library thread pool, started by the
-first pass that splits (``run_lanes``). There are as many lanes as the
-cores BLAS leaves idle (``lanes``), and a product is split only where each
-slice rounds exactly as the whole does (``product_lanes``), so the bytes
-do not depend on the lane count. A product over all rows of a batch
-splits through ``lane_product``.
+first pass that splits (``run_lanes``). Importing this module pins numpy's
+OpenBLAS to one thread, so its serial driver computes every product and
+the lanes take every usable core (``lanes``). A product is split only
+where each slice rounds exactly as the whole does (``product_lanes``), so
+the bytes depend on neither the lane count nor ``OPENBLAS_NUM_THREADS``. A
+product over all rows of a batch splits through ``lane_product``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import threading
@@ -38,14 +40,12 @@ CE_FLOOR = 1e-12
 BLOCK = 1 << 16
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
-# OpenBLAS GEMM facts the lane and K splits keep the bytes through: products
-# of at most SMALL_GEMM multiply-adds may take the small-matrix kernels
-# (SkylakeX), which neither block K nor thread and round differently from the
-# blocked kernels; those sum K in blocks of at most GEMM_Q rows, and round a
-# slice's last rows differently from the whole's unless the product's column
-# count is a multiple of GEMM_COLS
+# OpenBLAS GEMM facts the lane split keeps the bytes through: products of at
+# most SMALL_GEMM multiply-adds may take the small-matrix kernels (SkylakeX),
+# which round differently from the blocked kernels; those round a slice's last
+# rows differently from the whole's unless the product's column count is a
+# multiple of GEMM_COLS
 SMALL_GEMM = 100 ** 3
-GEMM_Q = 384
 GEMM_COLS = 8
 
 
@@ -122,52 +122,34 @@ def matmul(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np
     return np.matmul(a, b, out=out)
 
 
-def k_blocks(k: int, outputs: int) -> list[int]:
-    """Bounds of the blocks in which OpenBLAS's serial driver sums a product
-    over its ``k`` inner rows, for a product of ``outputs`` entries: GEMM_Q
-    rows while at least 2*GEMM_Q remain, then a remainder r above GEMM_Q as
-    roundup16(r/2) + rest. Threaded, the driver splits that remainder as
-    ceil(r/2) + rest, so summing the blocks as separate products keeps the
-    bytes at any thread count. One block, ``[0, k]``, where both drivers
-    agree: k at most GEMM_Q or a multiple of 32, or a small-kernel product."""
-    if k <= GEMM_Q or k % 32 == 0 or k * outputs <= SMALL_GEMM:
-        return [0, k]
-    bounds = [0]
-    while k - bounds[-1] >= 2 * GEMM_Q:
-        bounds.append(bounds[-1] + GEMM_Q)
-    if k - bounds[-1] > GEMM_Q:
-        bounds.append(bounds[-1] + ((k - bounds[-1]) // 2 + 15) // 16 * 16)
-    return bounds + [k]
-
-
 @functools.cache
-def _blas_thread_probe():
-    """OpenBLAS's get-num-threads function in numpy's own build, None when
-    no probe answers."""
-    import ctypes
-
+def _pin_blas() -> bool:
+    """Set numpy's OpenBLAS to one thread, once, through its set-num-threads
+    function; False when numpy's build exports none."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except (AttributeError, OSError):
-        return None
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-        probe = getattr(lib, name, None)
-        if probe is not None:
-            probe.argtypes, probe.restype = [], ctypes.c_int
-            return probe
-    return None
+        return False
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return True
+    return False
+
+
+_pin_blas()  # at import, before the first product
 
 
 def lanes() -> int:
-    """How many lanes the batch passes may use: the usable cores divided by
-    BLAS's own thread count, so lanes only fill cores BLAS leaves idle; 1
-    when that count cannot be read."""
-    probe = _blas_thread_probe()
-    blas = probe() if probe is not None else 0
-    if blas < 1:
+    """How many lanes the batch passes may use: every usable core, BLAS
+    running on one thread; 1 when BLAS could not be pinned and keeps its
+    own threads."""
+    if not _pin_blas():
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, (cores or 1) // blas)
+    return max(1, cores or 1)
 
 
 def product_lanes(rows: int, inner: int, cols: int) -> int:

@@ -165,7 +165,9 @@ class TestCorpusFile:
         path = tmp_path / "corpus.txt"
         for header in ("#grid=0 L=50 max_dur=48", "#grid=+12 L=50 max_dur=48",
                        "#grid=12 L=050 max_dur=48", "#grid=12 L=50 max_dur=4_8",
-                       f"#grid={MAX_GRID + 1} L=50 max_dur=48"):
+                       f"#grid={MAX_GRID + 1} L=50 max_dur=48",
+                       "#grid=12 L=50 max_dur=48 L=7", "#grid=12 L=50 max_dur=48 bogus=3",
+                       "#grid=12 L=50"):
             path.write_text(header + "\n60:6\n")
             with pytest.raises(BadCorpusFile):
                 load_corpus(path)

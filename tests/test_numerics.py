@@ -1,9 +1,12 @@
+import ctypes
+import functools
 import math
 import os
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +18,8 @@ from midilstm.numerics import (
     AdamState,
     Rng,
     adam_step,
-    SMALL_GEMM,
     derive_seed,
     global_norm,
-    k_blocks,
     lane_product,
     matmul,
     product_lanes,
@@ -285,29 +286,45 @@ def test_global_norm():
 
 
 class TestLanes:
-    @pytest.mark.parametrize("blas, want", [(1, "cores"), ("cores", 1), (0, 1), (None, 1)])
-    def test_lanes_fill_the_cores_blas_leaves_idle(self, monkeypatch, blas, want):
+    @pytest.mark.parametrize("library", ["numpy", "plain-openblas", "no-setter", "no-library"])
+    def test_lanes_take_every_core_once_blas_is_pinned(self, monkeypatch, library):
+        real, pinned = ctypes.CDLL, []
+
+        def setter(n):
+            pinned.append(n)
+
+        def cdll(path):  # numpy's own library, a stub, or none
+            if library == "no-library":
+                raise OSError(path)
+            if library == "plain-openblas":  # exports only the unprefixed name
+                return SimpleNamespace(openblas_set_num_threads=setter)
+            return real(path) if library == "numpy" else object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(numerics, "_pin_blas", functools.cache(numerics._pin_blas.__wrapped__))
         cores = len(os.sched_getaffinity(0))
-        probe = None if blas is None else (lambda: cores if blas == "cores" else blas)
-        monkeypatch.setattr(numerics, "_blas_thread_probe", lambda: probe)
-        assert numerics.lanes() == (cores if want == "cores" else want)
+        assert numerics.lanes() == (1 if library.startswith("no-") else cores)
+        assert pinned == ([1] if library == "plain-openblas" else [])
 
     def test_lanes_at_the_blas_default_and_at_one_blas_thread(self):
+        # OPENBLAS_NUM_THREADS unset, at 1 and at 2: in each child, importing
+        # numerics sets OpenBLAS to one thread, as its own getter reads back,
+        # and the lanes take every usable core
         src = str(Path(numerics.__file__).parent.parent)
         env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-
-        def lanes_in_child(**threads):
-            proc = subprocess.run([sys.executable, "-c",
-                                   "from midilstm.numerics import lanes; print(lanes())"],
-                                  env={**env, **threads}, capture_output=True, text=True,
-                                  timeout=60, check=True)
-            return int(proc.stdout)
-
-        assert lanes_in_child() == 1  # OpenBLAS's default is every core
-        readable = numerics._blas_thread_probe() is not None
+        script = ("import ctypes, numpy as np\n"
+                  "from midilstm.numerics import lanes\n"
+                  "lib = ctypes.CDLL(np._core._multiarray_umath.__file__)\n"
+                  "get = [getattr(lib, name) for name in ('scipy_openblas_get_num_threads64_',"
+                  " 'openblas_get_num_threads') if hasattr(lib, name)][0]\n"
+                  "print(lanes(), get())\n")
         cores = len(os.sched_getaffinity(0))
-        assert lanes_in_child(OPENBLAS_NUM_THREADS="1") == (cores if readable else 1)
+        for threads in (None, "1", "2"):
+            child = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], env=child,
+                                  capture_output=True, text=True, timeout=60, check=True)
+            assert proc.stdout.split() == [str(cores), "1"], threads
 
     def test_run_lanes_covers_the_range_once(self, monkeypatch):
         seen = []
@@ -362,15 +379,6 @@ class TestLanes:
         for who in (0, 1):  # a caller that finds the lanes busy runs one slice
             assert len(seen[who]) == 200 and all(s in (whole, split) for s in seen[who])
 
-    def test_k_blocks(self):
-        big = SMALL_GEMM  # outputs enough for a blocked-kernel product at any k here
-        assert k_blocks(3200, big) == [0, 3200]  # a multiple of 32
-        assert k_blocks(384, big) == [0, 384]
-        assert k_blocks(520, big) == [0, 272, 520]
-        assert k_blocks(1150, big) == [0, 384, 768, 1150]
-        assert k_blocks(1500, big) == [0, 384, 768, 1136, 1500]
-        assert k_blocks(520, 100) == [0, 520]  # a small-kernel product is one block
-
     @pytest.mark.parametrize("lanes", [2, 3])
     def test_adam_step_does_not_depend_on_the_lane_count(self, monkeypatch, lanes):
         n = 3 * BLOCK + 5
@@ -394,7 +402,7 @@ class TestLanes:
         (64, 512, 500, False, 1),  # columns not a multiple of 8
         (64, 64, 64, False, 1),  # a small-kernel product
         (64, 512, 512, False, 3),
-        (256, 300, 1024, True, 3),  # a weight gradient's x.T over one K block
+        (256, 300, 1024, True, 3),  # a weight gradient's x.T
     ])
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_lane_product_equals_the_whole_product(self, monkeypatch, lanes, m, k, n,
