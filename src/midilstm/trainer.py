@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -266,6 +267,9 @@ def evaluate(params: ModelParams, dataset: Dataset, note_vocab: Vocabulary,
 #
 # The JSON header carries the train config, both vocab listings, the final
 # epoch, and the final loss, so a checkpoint loads with no external config.
+# The records are ``named_params()``, once each, in its order, and nothing
+# follows them; a loader reads exactly those, one record at a time through
+# one buffer the size of the largest parameter.
 
 def save_checkpoint(path, params: ModelParams, config: TrainConfig,
                     note_vocab: Vocabulary, dur_vocab: Vocabulary,
@@ -305,68 +309,72 @@ class Checkpoint:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        data = fh.read()
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(offset, n):
-        if offset + n > len(data):
-            raise BadCheckpoint("checkpoint truncated")
-        return data[offset:offset + n], offset + n
+        def left(n):  # before reading or allocating n bytes
+            if n > size - fh.tell():
+                raise BadCheckpoint("checkpoint truncated")
 
-    chunk, pos = take(0, len(CHECKPOINT_MAGIC))
-    if chunk != CHECKPOINT_MAGIC:
-        raise BadCheckpoint(f"bad magic {chunk!r}")
-    chunk, pos = take(pos, 4)
-    (version,) = struct.unpack("<I", chunk)
-    if version != CHECKPOINT_VERSION:
-        raise BadCheckpoint(f"unsupported checkpoint version {version}")
-    chunk, pos = take(pos, 4)
-    (hlen,) = struct.unpack("<I", chunk)
-    blob, pos = take(pos, hlen)
-    try:
-        header = json.loads(blob.decode("utf-8"))
-        config = TrainConfig.from_dict(header["config"])
-        config.validate()
-        values = sum((rows + 1) * cols for rows, cols in config.model.weight_shapes())
-        if 8 * values > len(data) - pos:  # before allocating what the header declares
-            raise BadCheckpoint(f"header declares {values} parameter values, "
-                                f"the file holds {len(data) - pos} bytes after it")
-        params = ModelParams.zeros(config.model)
-        note_vocab = Vocabulary(header["note_vocab"])
-        dur_vocab = Vocabulary(header["dur_vocab"])
-        params.check_vocabs(note_vocab, dur_vocab)
-        epoch, final_loss = header["epoch"], header["final_loss"]
-        if type(epoch) is not int or epoch < 0:
-            raise BadCheckpoint(f"epoch {epoch!r} is not an integer >= 0")
-        if type(final_loss) not in (int, float):  # NaN after `train --epochs 0`
-            raise BadCheckpoint(f"final_loss {final_loss!r} is not a number")
-    except (ValueError, KeyError, TypeError, DataError) as exc:
-        raise BadCheckpoint(f"bad checkpoint header: {exc!r}") from None
+        def take(n):
+            left(n)
+            return fh.read(n)
 
-    chunk, pos = take(pos, 4)
-    (n_params,) = struct.unpack("<I", chunk)
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
-        chunk, pos = take(pos, 2)
-        (name_len,) = struct.unpack("<H", chunk)
-        chunk, pos = take(pos, name_len)
+        magic = take(len(CHECKPOINT_MAGIC))
+        if magic != CHECKPOINT_MAGIC:
+            raise BadCheckpoint(f"bad magic {magic!r}")
+        (version,) = struct.unpack("<I", take(4))
+        if version != CHECKPOINT_VERSION:
+            raise BadCheckpoint(f"unsupported checkpoint version {version}")
+        (hlen,) = struct.unpack("<I", take(4))
+        blob = take(hlen)
         try:
-            name = chunk.decode("utf-8")
-        except UnicodeDecodeError:
-            raise BadCheckpoint(f"parameter name {chunk!r} is not UTF-8") from None
-        chunk, pos = take(pos, 8)
-        rows, cols = struct.unpack("<II", chunk)
-        chunk, pos = take(pos, rows * cols * 8)
-        arrays[name] = np.frombuffer(chunk, dtype="<f8").reshape(rows, cols)  # copied below
+            header = json.loads(blob.decode("utf-8"))
+            config = TrainConfig.from_dict(header["config"])
+            config.validate()
+            values = sum((rows + 1) * cols for rows, cols in config.model.weight_shapes())
+            if 8 * values > size - fh.tell():  # before allocating what the header declares
+                raise BadCheckpoint(f"header declares {values} parameter values, "
+                                    f"the file holds {size - fh.tell()} bytes after it")
+            params = ModelParams.zeros(config.model)
+            note_vocab = Vocabulary(header["note_vocab"])
+            dur_vocab = Vocabulary(header["dur_vocab"])
+            params.check_vocabs(note_vocab, dur_vocab)
+            epoch, final_loss = header["epoch"], header["final_loss"]
+            if type(epoch) is not int or epoch < 0:
+                raise BadCheckpoint(f"epoch {epoch!r} is not an integer >= 0")
+            if type(final_loss) not in (int, float):  # NaN after `train --epochs 0`
+                raise BadCheckpoint(f"final_loss {final_loss!r} is not a number")
+        except (ValueError, KeyError, TypeError, DataError) as exc:
+            raise BadCheckpoint(f"bad checkpoint header: {exc!r}") from None
 
-    for name, arr in params.named_params():  # gate entries write through to the fused arrays
-        if name not in arrays:
-            raise BadCheckpoint(f"checkpoint missing parameter {name!r}")
-        if arrays[name].shape != arr.shape:
-            raise BadCheckpoint(f"parameter {name!r} has shape {arrays[name].shape}, "
-                                f"expected {arr.shape}")
-        if not np.isfinite(arrays[name]).all():
-            raise BadCheckpoint(f"parameter {name!r} holds NaN or infinite values")
-        arr[...] = arrays[name]
+        named = params.named_params()
+        (n_params,) = struct.unpack("<I", take(4))
+        if n_params != len(named):
+            raise BadCheckpoint(f"checkpoint holds {n_params} parameters, "
+                                f"the model has {len(named)}")
+        buf = np.empty(max(arr.size for _, arr in named), dtype="<f8")
+        for expected, arr in named:  # gate entries write through to the fused arrays
+            (name_len,) = struct.unpack("<H", take(2))
+            chunk = take(name_len)
+            try:
+                name = chunk.decode("utf-8")
+            except UnicodeDecodeError:
+                raise BadCheckpoint(f"parameter name {chunk!r} is not UTF-8") from None
+            if name != expected:
+                raise BadCheckpoint(f"checkpoint has parameter {name!r} "
+                                    f"where {expected!r} belongs")
+            shape = struct.unpack("<II", take(8))
+            if shape != arr.shape:
+                raise BadCheckpoint(f"parameter {name!r} has shape {shape}, "
+                                    f"expected {arr.shape}")
+            view = buf[:arr.size]
+            left(view.nbytes)
+            fh.readinto(view)
+            if not np.isfinite(view).all():
+                raise BadCheckpoint(f"parameter {name!r} holds NaN or infinite values")
+            arr[...] = view.reshape(arr.shape)
+        if fh.tell() != size:
+            raise BadCheckpoint(f"{size - fh.tell()} bytes follow the last parameter")
 
     return Checkpoint(config=config, params=params, note_vocab=note_vocab,
                       dur_vocab=dur_vocab, epoch=epoch, final_loss=final_loss)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -303,6 +304,88 @@ class TestCheckpoint:
         save_checkpoint(path, params, config, nv, dv, 0, 0.5)
         with pytest.raises(BadCheckpoint, match="layer0"):
             load_checkpoint(path)
+
+    def write_table(self, path, records, tail=b""):
+        """Keep the file's header; write ``records``, (name, array) pairs, as
+        its parameter table, then ``tail``."""
+        data = path.read_bytes()
+        hlen = int.from_bytes(data[12:16], "little")
+        table = [len(records).to_bytes(4, "little")]
+        for name, arr in records:
+            table += [len(name).to_bytes(2, "little"), name.encode(),
+                      np.array(arr.shape, dtype="<u4").tobytes(), arr.astype("<f8").tobytes()]
+        path.write_bytes(data[:16 + hlen] + b"".join(table) + tail)
+
+    @pytest.mark.parametrize("edit", [
+        lambda named: ([("layer0.forget.w", np.full_like(named[0][1], np.nan)), *named], b""),
+        lambda named: ([*named, ("bogus.w", np.full((2, 2), np.inf))], b""),
+        lambda named: (named, b"garbage"),
+        lambda named: ([*named[:-1], named[0]], b""),
+    ], ids=["named-twice", "unknown-record", "trailing-bytes", "one-missing-one-twice"])
+    def test_parameter_table_is_exactly_the_models(self, tmp_path, edit):
+        """A loader reads each of the model's parameters once, in order, and
+        nothing after them; a checkpoint that names one twice, names one
+        the model lacks, or goes on past the last is refused by ``eval``
+        and ``generate``, which write nothing."""
+        path = self.tiny_checkpoint(tmp_path)
+        golden = path.read_bytes()
+        named = load_checkpoint(path).params.named_params()
+        assert named[0][0] == "layer0.forget.w"
+        self.write_table(path, named)
+        assert path.read_bytes() == golden
+        corpus = tmp_path / "corpus.txt"
+        save_corpus(corpus, CorpusFile(12, 10, 48, [looped_song(5, n_tokens=80, period=13,
+                                                                n_pitches=6)]))
+        run = ["--checkpoint", str(path), "--corpus", str(corpus)]
+        assert cli.main(["eval", *run]) == 0
+
+        self.write_table(path, *edit(named))
+        with pytest.raises(BadCheckpoint):
+            load_checkpoint(path)
+        out = tmp_path / "songs"
+        assert cli.main(["eval", *run]) == 2
+        assert cli.main(["generate", "--length", "2", "--out", str(out), *run]) == 2
+        assert not out.exists()
+
+    def test_declared_shape_is_checked_before_reading(self, tmp_path):
+        path = self.tiny_checkpoint(tmp_path)
+        data = path.read_bytes()
+        at = data.index(b"layer0.input.w") + len(b"layer0.input.w")
+        path.write_bytes(data[:at] + b"\xff" * 8 + data[at + 8:])  # rows = cols = 2**32 - 1
+        with pytest.raises(BadCheckpoint, match="shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [0, len(b"head_dur.b"), len(b"head_dur.b") + 8 + 5],
+                             ids=["before-name", "before-shape", "inside-values"])
+    def test_record_truncation_is_checked_before_reading(self, tmp_path, cut):
+        """A file cut in its last record, after the header's size check has
+        passed: the record's own read finds it short."""
+        path = self.tiny_checkpoint(tmp_path)
+        data = path.read_bytes()
+        at = data.index(b"head_dur.b")
+        path.write_bytes(data[:at + cut])
+        with pytest.raises(BadCheckpoint, match="^checkpoint truncated$"):
+            load_checkpoint(path)
+
+    def test_load_holds_one_parameter_beyond_the_arena(self, tmp_path):
+        """Loading a 2x256 checkpoint (about 8.6 MB of parameters) allocates
+        the arena and one buffer of the largest parameter, not copies of the
+        file."""
+        note_vocab = Vocabulary(str(n) for n in range(200))
+        dur_vocab = Vocabulary(range(1, 21))
+        config = TrainConfig(model=ModelConfig(200, 20, hidden_sizes=(256, 256)))
+        params = ModelParams.zeros(config.model)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, params, config, note_vocab, dur_vocab, 0, 0.5)
+        largest = max(arr.nbytes for _, arr in params.named_params())
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = params.flat.nbytes + largest + 2 ** 20
+        assert peak <= bound, f"peak {peak} bytes, bound {bound}"
 
     def test_mutated_checkpoint_loads_or_raises_bad_checkpoint(self, tmp_path):
         golden = self.tiny_checkpoint(tmp_path).read_bytes()
