@@ -26,9 +26,9 @@ gathered for all L steps at once, the duration rows step by step. Upper
 layers' input terms are one product over all L*B rows, and the backward
 pass forms each layer's weight gradients from all timesteps at once: only
 the h -> h recurrence runs step by step. The train-mode cache holds each
-layer's activated gates, h and dropout keep mask, but no cell states: the
-backward pass rebuilds one layer's c at a time from its gates, and releases
-each layer's cache once it has passed it.
+layer's activated gates and dropout keep mask, but no cell or hidden
+states: the backward pass rebuilds one layer's c, and then its h, at a time
+from its gates, and releases each layer's cache once it has passed it.
 ``step_rows`` is the other way through the same cell: it advances a batch
 of windows that all read the same token by one step, which is how the
 generator runs its windows in flight, each lane of rows through every
@@ -178,9 +178,8 @@ class ModelParams:
 
 
 @dataclass
-class LayerCache:  # no cell states: the backward pass rebuilds them from the gates
+class LayerCache:  # no c or h: the backward pass rebuilds both from the gates
     acts: np.ndarray  # (L, B, 4H) activated gates, COLUMNS order
-    h: np.ndarray  # (L+1, B, H) hidden states, h[0] = 0
     keep: np.ndarray | None  # (L, B, H) dropout keep mask on h, None if not dropped
 
 
@@ -208,12 +207,16 @@ def cell_forward(a: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndar
     return h, c
 
 
+def _check_range(ids: np.ndarray, size: int, what: str) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise IndexOutOfRange(f"{what} outside [0, {size})")
+
+
 def _check_ids(ids: np.ndarray, size: int, what: str) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or not ids.shape[1]:
         raise ShapeMismatch(f"{what} ids must be (B, L) with L >= 1, got {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= size):
-        raise IndexOutOfRange(f"{what} id outside [0, {size})")
+    _check_range(ids, size, f"{what} id")
     return ids
 
 
@@ -240,9 +243,11 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
 
     The stack runs layer by layer, each over all L steps, and each layer's
     recurrence on lanes of batch rows. Train mode drops each layer's h at
-    rate ``dropout`` on its way up, drawing ``B * H`` uniforms per step and
-    per dropped layer, in step-major order, as one block from ``rng``.
-    Infer mode keeps one layer's h and a rolling c, and no cache.
+    rate ``dropout`` on its way up. Its keep masks are drawn from ``rng``
+    before the stack runs, one step at a time: ``B * H`` uniforms per
+    dropped layer, layers in order, compared straight into boolean masks.
+    Either mode keeps one layer's h and a rolling c at a time; train mode
+    caches the gates.
     """
     nv, dv = params.w_note.shape[1], params.w_dur.shape[1]
     note_ids = _check_ids(note_ids, nv, "note")
@@ -256,11 +261,11 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
     if drop > 0.0 and len(sizes) > 1:
         if rng is None:
             raise ShapeMismatch("train-mode dropout needs an rng")
-        widths = [B * H for H in sizes[:-1]]
-        block = rng.uniform_array(L * sum(widths)).reshape(L, -1)
-        keeps[:-1] = [u.reshape(L, B, -1) >= drop
-                      for u in np.split(block, np.cumsum(widths)[:-1], axis=1)]
-        block = None  # the uniforms, once their keep masks are drawn
+        keeps[:-1] = [np.empty((L, B, H), dtype=bool) for H in sizes[:-1]]
+        ends = np.cumsum([B * H for H in sizes[:-1]])[:-1]
+        for t in range(L):  # one step's uniforms at a time, layer by layer
+            for keep, u in zip(keeps[:-1], np.split(rng.uniform_array(B * sum(sizes[:-1])), ends)):
+                np.greater_equal(u.reshape(B, -1), drop, out=keep[t])
 
     layers: list[LayerCache] = []
     h = keep_below = None
@@ -271,11 +276,11 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
             acts = w_x[note_ids.T]
             for t in range(L):
                 acts[t] += w_x[nv + dur_ids[:, t]]
-        else:  # one product over all L*B rows of the layer below's dropped h
-            x = _dropped(h[1:], keep_below, drop).reshape(L * B, -1)
+        else:  # one product over all L*B rows of the layer below's h, dropped in place
+            x = _dropped(h[1:], keep_below, drop, out=h[1:]).reshape(L * B, -1)
             acts = lane_product(x, w_x, np.empty((L * B, 4 * H))).reshape(L, B, 4 * H)
         acts += layer.b
-        x = h = None  # x may view h; unless the cache holds h, free it
+        x = h = None  # x views h: free it, backward rebuilds it from the gates
         h = np.zeros((L + 1, B, H))
 
         def recur(lo: int, hi: int) -> None:  # batch rows [lo, hi), all L steps
@@ -289,7 +294,7 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
         run_lanes(recur, B, product_lanes(B, *w_h.shape))
         keep_below = keep
         if train:
-            layers.append(LayerCache(acts=acts, h=h, keep=keep))
+            layers.append(LayerCache(acts=acts, keep=keep))
         acts = None  # and this layer's pre-activations, before the next layer's
 
     h_top = h[-1].copy()  # a view would pin all of h
@@ -344,13 +349,16 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
     for the batch-summed loss CE_note + CE_dur as views of ``grads``, which
     the pass overwrites (a new ``params.zeros_like()`` when not given).
 
-    The pass consumes the cache, so it backs exactly one pass, failed or
-    not: it empties ``cache.layers`` before any work, rebuilds each layer's
-    cell states from its gates in ``cell_forward``'s operation order (so
-    bit for bit), overwrites the gates with their gradients, and releases
-    the layer once its weight gradients and input gradient are done. Each
-    layer's recurrence runs on lanes of batch rows; each product over all
-    rows that follows it is one ``lane_product``.
+    Targets outside their head's width raise ``IndexOutOfRange`` and leave
+    the cache unused. Otherwise the pass consumes the cache, so it backs
+    exactly one pass, failed or not: it empties ``cache.layers`` before any
+    work, rebuilds each layer's cell states from its gates in
+    ``cell_forward``'s operation order (so bit for bit), writes each h into
+    its c's slot once the sweep back has spent that c, overwrites the gates
+    with their gradients, rebuilds the layer's input from the gates of the
+    layer below, and releases the layer once its weight gradients and input
+    gradient are done. Each layer's recurrence runs on lanes of batch rows;
+    each product over all rows that follows it is one ``lane_product``.
     """
     if not cache.layers:
         raise StaleCache("backward needs the unused cache of a train-mode forward pass")
@@ -359,10 +367,12 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
     B = cache.h_final.shape[0]
     if note_targets.shape[0] != B or dur_targets.shape[0] != B:
         raise ShapeMismatch("target count does not match batch size")
+    nv = params.w_note.shape[1]
+    _check_range(note_targets, nv, "note target")
+    _check_range(dur_targets, params.w_dur.shape[1], "duration target")
     layers, cache.layers = cache.layers, []
     rows = np.arange(B)
     L = cache.note_ids.shape[1]
-    nv = params.w_note.shape[1]
 
     # softmax + cross-entropy: dlogits = probs - onehot(target)
     dlog_note = cache.note_probs.copy()
@@ -384,10 +394,12 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
         H = layer.hidden_size
         w_h, w_x = layer.w[:H], layer.w[H:]
 
-        c_all = np.zeros((L + 1, B, H))  # allocated here, as for lane_product
+        # c[t], rebuilt; each c[t] once spent holds h[t] (h[0] = c[0] = 0).
+        # Allocated here, as for lane_product
+        hc = np.zeros((L + 1, B, H))
 
         def bptt(lo: int, hi: int) -> None:  # batch rows [lo, hi), all L steps
-            acts, c = lc.acts[:, lo:hi], c_all[:, lo:hi]
+            acts, c = lc.acts[:, lo:hi], hc[:, lo:hi]
             for t in range(L):  # c = f * c_prev + i * g, as in cell_forward
                 np.multiply(acts[t, :, :H], c[t], out=c[t + 1])
                 c[t + 1] += acts[t, :, H:2 * H] * acts[t, :, 3 * H:]
@@ -399,6 +411,7 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
                 a = acts[t]
                 f, i, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
                 tanh_c = np.tanh(c[t + 1])
+                np.multiply(o, tanh_c, out=c[t + 1])  # h, as in cell_forward
                 dc += dh * o * (1.0 - tanh_c ** 2)
                 d_f = dc * c[t] * f * (1.0 - f)
                 d_i = dc * g * i * (1.0 - i)
@@ -410,9 +423,10 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
                     dh = matmul(a, w_h.T)
 
         run_lanes(bptt, B, product_lanes(B, *w_h.T.shape))
-        c_all = None  # before the products below allocate
+        dh_in = None  # spent by the sweep
         d_acts = lc.acts.reshape(L * B, 4 * H)
-        lane_product(lc.h[:-1].reshape(L * B, H).T, d_acts, grad.w[:H])
+        lane_product(hc[:-1].reshape(L * B, H).T, d_acts, grad.w[:H])
+        hc = None
         grad.b[...] = d_acts.sum(axis=0, keepdims=True)
         if li == 0:  # scatter-add at the ids, the transpose of the row gather
             # (a row loop: np.add.at is about 8x slower on 2-D rows)
@@ -423,11 +437,17 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
                 grad_x[n] += row
                 grad_x[nv + d] += row
             break
-        below = layers[li - 1]
-        x = _dropped(below.h[1:], below.keep, cache.dropout)
-        lane_product(x.reshape(L * B, -1).T, d_acts, grad.w[H:])
-        x = dh_in = None  # free both before allocating the next dh_in
-        dh_in = lane_product(d_acts, w_x.T, np.empty((L * B, w_x.shape[0]))).reshape(L, B, -1)
+        # the layer's input: the layer below's dropped h, rebuilt from its
+        # gates with a rolling c, as in cell_forward
+        below, Hb = layers[li - 1], w_x.shape[0]
+        x, c = np.empty((L, B, Hb)), np.zeros((B, Hb))
+        for t, a in enumerate(below.acts):
+            c = a[:, :Hb] * c + a[:, Hb:2 * Hb] * a[:, 3 * Hb:]
+            np.multiply(a[:, 2 * Hb:3 * Hb], np.tanh(c), out=x[t])
+        _dropped(x, below.keep, cache.dropout, out=x)
+        lane_product(x.reshape(L * B, Hb).T, d_acts, grad.w[H:])
+        x = None  # before allocating the next dh_in
+        dh_in = lane_product(d_acts, w_x.T, np.empty((L * B, Hb))).reshape(L, B, Hb)
         _dropped(dh_in, below.keep, cache.dropout, out=dh_in)
         layers[li] = lc = d_acts = None  # release
 

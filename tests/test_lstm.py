@@ -227,6 +227,21 @@ class TestModelForward:
             with pytest.raises(ShapeMismatch, match="target count"):
                 model_backward(cache, note_t[:1], dur_t, params)
 
+    def test_keep_masks_are_drawn_step_by_step_from_one_stream(self):
+        L, B, sizes, drop = 5, 3, (8, 6, 4), 0.3
+        config = small_config(hidden_sizes=sizes, dropout=drop, window_len=L)
+        params = ModelParams.init(config, Rng(107))
+        note, dur, _, _ = random_inputs(config, Rng(109), batch=B)
+        rng, twin = Rng(5), Rng(5)
+        _, _, cache = model_forward(note, dur, params, train=True, rng=rng, dropout=drop)
+        # the same masks cut from one step-major block of L * B * sum(H) uniforms
+        widths = [B * H for H in sizes[:-1]]
+        block = twin.uniform_array(L * sum(widths)).reshape(L, -1)
+        for lc, u in zip(cache.layers, np.split(block, np.cumsum(widths)[:-1], axis=1)):
+            assert np.array_equal(lc.keep, u.reshape(L, B, -1) >= drop)
+        assert cache.layers[-1].keep is None
+        assert rng.next_u64() == twin.next_u64()
+
     def test_forget_bias_initialized_to_one(self):
         params = ModelParams.init(small_config(), Rng(67))
         named = dict(params.named_params())
@@ -326,6 +341,27 @@ class TestBackward:
         # backward signal
         assert not np.array_equal(g1["layer0.forget.w"], g2["layer0.forget.w"])
 
+    @pytest.mark.parametrize("bad", [-1, "width"])
+    @pytest.mark.parametrize("head", ["note", "duration"])
+    def test_target_outside_its_head_is_index_out_of_range(self, head, bad):
+        config = small_config(hidden_sizes=(8, 6), dropout=0.3)
+        params = ModelParams.init(config, Rng(151))
+        note, dur, note_t, dur_t = random_inputs(config, Rng(157), batch=3)
+        targets = {"note": note_t.copy(), "duration": dur_t.copy()}
+        width = {"note": config.note_vocab_size, "duration": config.dur_vocab_size}[head]
+        targets[head][1] = width if bad == "width" else -1
+
+        def fresh_cache():
+            return model_forward(note, dur, params, train=True, rng=Rng(5),
+                                 dropout=config.dropout)[2]
+
+        cache = fresh_cache()
+        with pytest.raises(IndexOutOfRange, match=rf"{head} target outside \[0, {width}\)"):
+            model_backward(cache, targets["note"], targets["duration"], params)
+        got = model_backward(cache, note_t, dur_t, params)  # the cache was left unused
+        want = model_backward(fresh_cache(), note_t, dur_t, params)
+        assert all(np.array_equal(got[name], w) for name, w in want.items())
+
     def test_infer_cache_is_stale(self):
         rng = Rng(97)
         config = small_config()
@@ -396,7 +432,7 @@ class TestBackward:
                 a = a.base
             return weakref.ref(a)
 
-        refs = [owner(a) for lc in cache.layers for a in (lc.acts, lc.h)]
+        refs = [owner(lc.acts) for lc in cache.layers]
         turns = []
         real = lstm.matmul
 
@@ -409,10 +445,53 @@ class TestBackward:
         monkeypatch.setattr(lstm, "matmul", watching)
         model_backward(cache, note_t, dur_t, params)
         assert {k for k, _ in turns} == {0, 1, 2}
-        for k, alive in turns:  # the acts and h of each layer at and below k, none above
-            assert alive == [j <= k for j in range(len(sizes)) for _ in "ah"], (k, alive)
+        for k, alive in turns:  # the gates of each layer at and below k, none above
+            assert alive == [j <= k for j in range(len(sizes))], (k, alive)
 
-    def test_train_cache_holds_gates_h_and_keep_mask_only(self):
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_backward_rebuilds_the_forward_hidden_states_bitwise(self, monkeypatch, lanes):
+        L, B, sizes, drop = 4, 8, (288, 272, 256), 0.3  # as above: both lanes run
+        monkeypatch.setattr(numerics, "lanes", lambda: lanes)
+        assert numerics.product_lanes(B, 4 * sizes[-1], sizes[-1]) == lanes
+        config = small_config(hidden_sizes=sizes, dropout=drop, window_len=L)
+        params = ModelParams.init(config, Rng(163))
+        note, dur, note_t, dur_t = random_inputs(config, Rng(167), batch=B)
+        h = {H: np.zeros((L + 1, B, H)) for H in sizes}  # each layer's forward h, h[0] = 0
+        operands = []  # (a, b.shape) of each lane_product
+        real_cell, real_product = lstm.cell_forward, lstm.lane_product
+
+        def recording_cell(a, c_prev):  # a is the step's rows of an (L, B, 4H) array
+            h_new, c = real_cell(a, c_prev)
+            rows, H = c_prev.shape
+            t, lo = divmod((a.ctypes.data - a.base.ctypes.data) // (8 * 4 * H), B)
+            h[H][t + 1, lo:lo + rows] = h_new
+            return h_new, c
+
+        def recording_product(a, b, out):
+            operands.append((a.copy(), b.shape))
+            return real_product(a, b, out)
+
+        monkeypatch.setattr(lstm, "cell_forward", recording_cell)
+        monkeypatch.setattr(lstm, "lane_product", recording_product)
+        _, _, cache = model_forward(note, dur, params, train=True, rng=Rng(5), dropout=drop)
+        # the upper layers' inputs: each lower layer's dropped h, by its width
+        dropped = {b[0]: a.reshape(L, B, -1) for a, b in operands}
+        assert sorted(dropped) == sorted(sizes[:-1])
+        operands.clear()
+        model_backward(cache, note_t, dur_t, params)
+        # the weight-gradient operands: a layer's h[0..L-1] (spent-slot h)
+        # against its own gates, the layer below's dropped h against the next
+        own, inputs = [], []
+        for a, b in operands:
+            if b[0] == L * B:
+                (own if 4 * a.shape[0] == b[1] else inputs).append(a.T.reshape(L, B, -1))
+        assert len(own) == len(sizes) and len(inputs) == len(sizes) - 1
+        for got in own:
+            assert np.array_equal(got, h[got.shape[2]][:-1])
+        for got in inputs:
+            assert np.array_equal(got, dropped[got.shape[2]])
+
+    def test_train_cache_holds_gates_and_keep_mask_only(self):
         L, B, sizes = 5, 3, (8, 6, 4)
         config = small_config(hidden_sizes=sizes, dropout=0.3, window_len=L)
         params = ModelParams.init(config, Rng(107))
@@ -420,13 +499,14 @@ class TestBackward:
         _, _, cache = model_forward(note, dur, params, train=True, rng=Rng(5),
                                     dropout=config.dropout)
         for k, (lc, H) in enumerate(zip(cache.layers, sizes)):
-            assert sorted(vars(lc)) == ["acts", "h", "keep"]
+            assert sorted(vars(lc)) == ["acts", "keep"]
             keep = L * B * H if k < len(sizes) - 1 else 0  # a byte per flag; top h is not dropped
             arrays = [v for v in vars(lc).values() if isinstance(v, np.ndarray)]
-            assert sum(a.nbytes for a in arrays) == 8 * L * B * 4 * H + 8 * (L + 1) * B * H + keep
+            assert sum(a.nbytes for a in arrays) == 8 * L * B * 4 * H + keep
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("lanes", [1, 2])
-    def test_train_step_peak_memory(self, monkeypatch, lanes):
+    def test_train_step_peak_memory(self, monkeypatch, lanes, dropout):
         L, B, H = 20, 64, 128  # H large enough for a recurrence on two lanes
         monkeypatch.setattr(numerics, "lanes", lambda: lanes)
         assert numerics.product_lanes(B, 4 * H, H) == lanes
@@ -437,15 +517,16 @@ class TestBackward:
         note, dur, note_t, dur_t = random_inputs(config, Rng(62), batch=B)
         tracemalloc.start()
         try:
-            _, _, cache = model_forward(note, dur, params, train=True)
+            _, _, cache = model_forward(note, dur, params, train=True, rng=Rng(5),
+                                        dropout=dropout)
             model_backward(cache, note_t, dur_t, params, grads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # every layer's (L, B, 4H) gates and (L+1, B, H) hidden states, one
-        # layer's rebuilt (L+1, B, H) cell states and a few per-step (B, H)
-        # arrays; caching every layer's c took three (L+1, B, H) more
-        assert peak <= 8 * B * H * (3 * (4 * L + L + 1) + (L + 1) + 16)
+        # every layer's (L, B, 4H) gates, two (L+1, B, H) arrays (hidden or
+        # cell states, an input gradient) and a few per-step (B, H) arrays;
+        # caching every layer's h as well peaked above this
+        assert peak <= 8 * B * H * (3 * 4 * L + 2 * (L + 1) + 16)
 
     def test_dropout_backward_matches_finite_differences(self):
         # freeze one dropout pattern by replaying the same rng stream
@@ -481,8 +562,9 @@ LANE_SIZES = (384, 256)  # a 2-row slice of layer 0's recurrence is a blocked-ke
 
 
 def lane_pass(monkeypatch, lanes: int, batch: int, sizes=LANE_SIZES) -> list[np.ndarray]:
-    """Infer-mode and train-mode probabilities, every cache array and every
-    gradient of one batch, with the lane count forced to ``lanes``."""
+    """Infer-mode and train-mode probabilities, every layer's gates and keep
+    mask, and every gradient of one batch, with the lane count forced to
+    ``lanes``."""
     monkeypatch.setattr(numerics, "lanes", lambda: lanes)
     config = small_config(note_vocab_size=30, dur_vocab_size=10, hidden_sizes=sizes,
                           dropout=0.3, window_len=6)
@@ -492,7 +574,7 @@ def lane_pass(monkeypatch, lanes: int, batch: int, sizes=LANE_SIZES) -> list[np.
     *probs, cache = model_forward(note, dur, params, train=True, rng=Rng(5),
                                   dropout=config.dropout)
     out += probs  # the gates are copied: backward overwrites them with their gradients
-    out += [a.copy() for lc in cache.layers for a in (lc.acts, lc.h, lc.keep) if a is not None]
+    out += [a.copy() for lc in cache.layers for a in (lc.acts, lc.keep) if a is not None]
     return out + list(model_backward(cache, note_t, dur_t, params).values())
 
 
