@@ -190,6 +190,15 @@ def parse_song_line(line: str, accepted: set | None = None) -> tuple[list[str], 
     return notes, durs
 
 
+def header_problem(grid: int, window_len: int, max_dur: int) -> str | None:
+    """The first corpus-header bound the values break, as text such as
+    "L=0 must be >= 1", else None: grid is 1..MAX_GRID, L and max_dur >= 1."""
+    for key, value in (("grid", grid), ("L", window_len), ("max_dur", max_dur)):
+        if value < 1:
+            return f"{key}={value} must be >= 1"
+    return f"grid={grid} must be <= {MAX_GRID}" if grid > MAX_GRID else None
+
+
 def save_corpus(path, corpus: CorpusFile) -> None:
     lines = [f"#grid={corpus.grid} L={corpus.window_len} max_dur={corpus.max_dur}"]
     lines.extend(format_song(notes, durs) for notes, durs in corpus.songs)
@@ -239,10 +248,9 @@ def load_corpus(path) -> CorpusFile:
     for key in ("grid", "L", "max_dur"):
         if key not in header:
             raise BadCorpusFile(f"header missing {key!r}")
-        if header[key] < 1:
-            raise BadCorpusFile(f"header {key}={header[key]} must be >= 1")
-    if header["grid"] > MAX_GRID:
-        raise BadCorpusFile(f"header grid={header['grid']} must be <= {MAX_GRID}")
+    problem = header_problem(header["grid"], header["L"], header["max_dur"])
+    if problem:
+        raise BadCorpusFile(f"header {problem}")
     accepted: set[str] = set()  # each distinct note token is validated once
     songs = [parse_song_line(line, accepted) for line in lines[1:] if line.strip()]
     for notes, durs in songs:

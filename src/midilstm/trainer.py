@@ -39,6 +39,8 @@ CHECKPOINT_MAGIC = b"LSTMCMP1"
 CHECKPOINT_VERSION = 1
 # windows per infer-mode forward pass of evaluation
 EVAL_BATCH = 256
+# the master seed's sub-seeds that train draws: parameter init, window order, dropout masks
+TRAIN_SUB_SEEDS = ("init", "shuffle", "dropout")
 
 
 @dataclass
@@ -179,9 +181,8 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
         raise EmptyDataset("holdout fraction left no training windows")
     batch_size = min(config.batch_size, len(windows))
 
-    init_rng = Rng(derive_seed(config.seed, "init"))
-    shuffle_rng = Rng(derive_seed(config.seed, "shuffle"))
-    dropout_rng = Rng(derive_seed(config.seed, "dropout"))
+    init_rng, shuffle_rng, dropout_rng = (Rng(derive_seed(config.seed, label))
+                                          for label in TRAIN_SUB_SEEDS)
     params = ModelParams.init(config.model, init_rng)
     params.check_vocabs(note_vocab, dur_vocab)
     grads = params.zeros_like()

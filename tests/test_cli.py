@@ -29,7 +29,7 @@ from midilstm.midi_io import (
     parse_midi,
     write_midi,
 )
-from midilstm.numerics import Rng
+from midilstm.numerics import Rng, derive_seed
 from midilstm.score import events_to_piece
 from midilstm.trainer import load_checkpoint, save_checkpoint
 
@@ -123,7 +123,8 @@ class TestIngest:
             flags = ["--" + key.replace("_", "-"), value]
         assert main(["ingest", "--midi-dir", str(d), "--out", str(out), *flags]) == 1
         err = capsys.readouterr().err
-        assert f"{key} {value} must be >= 1" in err
+        header_key = "L" if key == "window_len" else key  # as the corpus header spells it
+        assert f"{header_key}={value} must be >= 1" in err
         assert "warning" not in err  # no MIDI file was read
         assert not out.exists()
 
@@ -152,7 +153,7 @@ class TestIngest:
         out = tmp_path / "o"
         assert main(["ingest", "--midi-dir", str(d), "--out", str(out), "--grid", "8192"]) == 1
         err = capsys.readouterr().err
-        assert "grid 8192 must be <= 8191" in err
+        assert "grid=8192 must be <= 8191" in err
         assert "warning" not in err  # no MIDI file was read
         assert not out.exists()
         # the largest grid runs end to end: 4 ticks a unit fill the division
@@ -391,7 +392,8 @@ class TestGenerate:
                      "--corpus", str(pipeline / "corpus.txt"), "--out", str(pipeline / "g"),
                      "--length", "10", "--seed-window", window]) == code
         err = capsys.readouterr().err
-        assert ("wants SONG:OFFSET" if code == 1 else f"seed window {window} out of range") in err
+        assert ("wants SONG:OFFSET" if code == 1
+                else f"IndexOutOfRange: seed window {window} out of range") in err
         assert not (pipeline / "g").exists()
 
     def test_negative_repeat_cap_is_usage_error(self, pipeline, capsys):
@@ -542,6 +544,9 @@ class TestVariants:
         assert len(mids) == 4
         windows = {json.dumps(v["seed_window"]) for v in manifest["variants"].values()}
         assert len(windows) == 1
+        # every sub-seed the run drew, the variants' training ones included
+        labels = ["init", "shuffle", "dropout", "seedwin", "sampling.0", "sampling.1"]
+        assert manifest["seeds"] == {"master": 7, **{k: derive_seed(7, k) for k in labels}}
 
     def variants(self, pipeline, out, *flags):
         return main(["variants", "--corpus", str(pipeline / "corpus.txt"), "--out", str(out),
@@ -643,6 +648,7 @@ class TestVariants:
         "a:8,hidden=4",  # a bare leading item
         "a:hidden=8,,lr=1", "a:lr=1,,hidden=8", "a:,lr=1", "a:hidden=8,",  # an empty item
         "..:", ".:", "a/b:", "{pipeline}/abs:",  # a name that is not one directory inside --out
+        "variants_manifest.json:", "variants_manifest.json.tmp:",  # the manifest's own names
     ])
     def test_malformed_variant_is_usage_error(self, pipeline, variant):
         out = pipeline / "var"
@@ -655,8 +661,11 @@ class TestChecks:
         assert main(["gradcheck", "--hidden", "8"]) == 0
         assert capsys.readouterr().out.startswith("PASS")
 
-    def test_gradcheck_impossible_tolerance_fails(self, capsys):
-        assert main(["gradcheck", "--hidden", "8", "--tolerance", "0"]) == 3
+    def test_gradcheck_impossible_tolerance_fails(self, monkeypatch, capsys):
+        check = cli.grad_check
+        monkeypatch.setattr(cli, "grad_check",
+                            lambda config, rng: check(config, rng, tolerance=0.0))
+        assert main(["gradcheck", "--hidden", "8"]) == 3
         assert capsys.readouterr().out.startswith("FAIL")
 
     def test_roundtrip_passes_on_valid_files(self, midi_dir, capsys):
@@ -716,7 +725,7 @@ COMMAND_FLAGS = {
                                                   "--seed-file", "--tokens"},
     "eval": {"--checkpoint", "--corpus"},
     "variants": _CONFIG_FLAGS | _TRAIN_KEY_FLAGS | _GEN_KEY_FLAGS | {"--corpus", "--variant"},
-    "gradcheck": {"--hidden", "--seed", "--tolerance"},
+    "gradcheck": {"--hidden", "--seed"},
     "roundtrip": {"files"},
 }
 
@@ -729,7 +738,7 @@ class TestUsage:
                         for a in p._actions if not isinstance(a, argparse._HelpAction)}
                  for name, p in sub.choices.items()}
         assert flags == COMMAND_FLAGS
-        assert sum(map(len, flags.values())) == 58
+        assert sum(map(len, flags.values())) == 57
 
     @pytest.mark.parametrize("command, extra", [
         (["eval", "--checkpoint", "k.bin", "--corpus", "c.txt"], ["--out", "o"]),
@@ -812,17 +821,27 @@ class TestUsage:
                          for key in settings if key not in defaults]
 
     @pytest.mark.parametrize("flag", ["--mode", "--optimizer"])
-    def test_unknown_choice_is_usage_error(self, pipeline, flag):
-        with pytest.raises(SystemExit) as exc:
-            main(["variants", "--corpus", str(pipeline / "corpus.txt"),
-                  "--out", str(pipeline / "var"), "--variant", "a:", flag, "bogus"])
-        assert exc.value.code == 1
+    def test_unknown_choice_is_usage_error(self, pipeline, capsys, flag):
         cfg = pipeline / "bad.cfg"
         cfg.write_text(f"{flag[2:]} = bogus\n")
-        assert main(["variants", "--corpus", str(pipeline / "corpus.txt"),
-                     "--out", str(pipeline / "var"), "--variant", "a:",
-                     "--config", str(cfg)]) == 1
+        sources = [("a:", [flag, "bogus"]), ("a:", ["--config", str(cfg)])]
+        if flag == "--optimizer":  # a variant overrides training settings only
+            sources.append(("a:optimizer=bogus", []))
+        for variant, extra in sources:
+            assert main(["variants", "--corpus", str(pipeline / "corpus.txt"),
+                         "--out", str(pipeline / "var"), "--variant", variant, *extra]) == 1
+            assert f"unknown {flag[2:]} 'bogus'" in capsys.readouterr().err  # the library's check
         assert not (pipeline / "var").exists()  # rejected before any training
+
+    @pytest.mark.parametrize("hidden", ["0", "8,0"])
+    def test_hidden_size_below_one_is_usage_error(self, pipeline, tmp_path, hidden):
+        corpus = str(pipeline / "corpus.txt")
+        out = ["--out", str(tmp_path / "o")]
+        for argv in (["train", "--corpus", corpus, "--hidden", hidden, *out],
+                     ["gradcheck", "--hidden", hidden],
+                     ["variants", "--corpus", corpus, "--variant", f"a:hidden={hidden}", *out]):
+            assert main(argv) == 1, argv
+            assert not (tmp_path / "o").exists(), argv
 
     def test_bad_temperature_is_usage_error(self, pipeline):
         for value in ("0", "nan", "inf", "1e-320", "5e-324"):
