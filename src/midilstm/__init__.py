@@ -27,7 +27,6 @@ from .midi_io import (
     MidiFormat,
     decode_vlq,
     encode_vlq,
-    events_equivalent,
     parse_midi,
     write_midi,
 )

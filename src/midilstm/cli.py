@@ -36,7 +36,7 @@ from .errors import (CorpusTooShort, DataError, IndexOutOfRange, NoUsableFiles, 
                      VocabMismatch)
 from .generator import GenConfig, emit, generate, pick_seed
 from .lstm import ModelConfig, grad_check, reference_check_config
-from .midi_io import events_equivalent, parse_midi, write_midi
+from .midi_io import parse_midi, write_midi
 from .numerics import Rng, derive_seed
 from .score import DEFAULT_GRID, events_to_piece, piece_to_midi
 from .trainer import TRAIN_SUB_SEEDS, TrainConfig, evaluate, load_checkpoint, train, write_metrics
@@ -49,7 +49,7 @@ EXIT_CHECK = 3
 MIDI_SUFFIXES = (".mid", ".midi")
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
+def hidden_sizes(text: str) -> tuple[int, ...]:  # argparse names a bad --hidden by this
     return tuple(int(p) for p in text.split(","))
 
 
@@ -64,7 +64,7 @@ CONFIG_KEYS = {
     "clip_norm": float,
     "checkpoint_every": int,
     "holdout": float,
-    "hidden": _parse_hidden,
+    "hidden": hidden_sizes,
     "dropout": float,
     "window_len": int,
     "grid": int,
@@ -119,8 +119,12 @@ def resolve_config(args, defaults: dict) -> dict:
     return resolved
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _sha256(path) -> str:  # a megabyte at a time: an input is never held whole
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_manifest(out_dir, command: str, config: dict, inputs, outputs,
@@ -145,8 +149,10 @@ def write_manifest(out_dir, command: str, config: dict, inputs, outputs,
 
 
 def _out_dir(args) -> Path:
+    """--out, made if missing, without the command's old manifest: a failed run leaves none."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / f"{args.command}_manifest.json").unlink(missing_ok=True)
     return out
 
 
@@ -227,6 +233,7 @@ def cmd_train(args) -> int:
     train_config = _train_config_from(cfg, corpus, note_vocab, dur_vocab, args.seed)
 
     out = Path(args.out)  # train makes it once the model is allocated
+    (out / "train_manifest.json").unlink(missing_ok=True)  # as _out_dir does
     result = train(dataset, train_config, note_vocab, dur_vocab, out_dir=out,
                    on_epoch=lambda row: print(
                        f"epoch {row.epoch}: loss {row.loss:.4f}  "
@@ -401,6 +408,7 @@ def cmd_variants(args) -> int:
     window = _random_seed_window(dataset, args.seed)
     seed_notes, seed_durs = _window_tokens(corpus, window)
     out = Path(args.out)  # train makes each variant's directory once its model is allocated
+    (out / "variants_manifest.json").unlink(missing_ok=True)  # as _out_dir does
     entries = {}
     for name, train_config in variants:
         vdir = out / name
@@ -445,12 +453,11 @@ def cmd_gradcheck(args) -> int:
 def cmd_roundtrip(args) -> int:
     failures = 0
     for path in args.files:
-        data = Path(path).read_bytes()
-        try:
-            parsed = parse_midi(data)
+        try:  # a file that cannot be read is an OSError, for main
+            parsed = parse_midi(Path(path).read_bytes())
             canonical = write_midi(parsed)
             reparsed = parse_midi(canonical)
-            if not events_equivalent(parsed, reparsed):
+            if parsed != reparsed:
                 print(f"FAIL {path}: reparse is not event-equivalent")
                 failures += 1
                 continue
@@ -524,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="variant name plus config overrides (repeatable)")
 
     p = _add_command(sub, "gradcheck", cmd_gradcheck, "verify BPTT against finite differences")
-    p.add_argument("--hidden", type=_parse_hidden)
+    p.add_argument("--hidden", type=hidden_sizes)
     p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
 
     p = _add_command(sub, "roundtrip", cmd_roundtrip,

@@ -8,8 +8,8 @@ verification) are reported through return values instead.
 
 
 class UsageError(ValueError):
-    """Bad flags, config keys, or values. Subclasses ValueError so argparse
-    turns it into a normal usage failure when raised from a type= parser."""
+    """Bad flags, config keys, or values. A ValueError, so that
+    ``load_checkpoint`` reports a header config it rejects as BadCheckpoint."""
 
 
 class DataError(Exception):

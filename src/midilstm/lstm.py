@@ -220,15 +220,11 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> np.ndarray:
     return ids
 
 
-def _dropped(x: np.ndarray, keep: np.ndarray | None, drop: float,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Inverted dropout of ``x`` with a boolean keep mask, into ``out`` when
-    given."""
-    if keep is None:
-        return x
-    out = np.multiply(x, keep, out=out)
-    out *= 1.0 / (1.0 - drop)
-    return out
+def _drop(x: np.ndarray, keep: np.ndarray | None, drop: float) -> None:
+    """Inverted dropout of ``x`` in place with a boolean keep mask."""
+    if keep is not None:
+        x *= keep
+        x *= 1.0 / (1.0 - drop)
 
 
 def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams,
@@ -277,7 +273,8 @@ def model_forward(note_ids: np.ndarray, dur_ids: np.ndarray, params: ModelParams
             for t in range(L):
                 acts[t] += w_x[nv + dur_ids[:, t]]
         else:  # one product over all L*B rows of the layer below's h, dropped in place
-            x = _dropped(h[1:], keep_below, drop, out=h[1:]).reshape(L * B, -1)
+            _drop(h[1:], keep_below, drop)
+            x = h[1:].reshape(L * B, -1)
             acts = lane_product(x, w_x, np.empty((L * B, 4 * H))).reshape(L, B, 4 * H)
         acts += layer.b
         x = h = None  # x views h: free it, backward rebuilds it from the gates
@@ -444,11 +441,11 @@ def model_backward(cache: ForwardCache, note_targets: np.ndarray,
         for t, a in enumerate(below.acts):
             c = a[:, :Hb] * c + a[:, Hb:2 * Hb] * a[:, 3 * Hb:]
             np.multiply(a[:, 2 * Hb:3 * Hb], np.tanh(c), out=x[t])
-        _dropped(x, below.keep, cache.dropout, out=x)
+        _drop(x, below.keep, cache.dropout)
         lane_product(x.reshape(L * B, Hb).T, d_acts, grad.w[H:])
         x = None  # before allocating the next dh_in
         dh_in = lane_product(d_acts, w_x.T, np.empty((L * B, Hb))).reshape(L, B, Hb)
-        _dropped(dh_in, below.keep, cache.dropout, out=dh_in)
+        _drop(dh_in, below.keep, cache.dropout)
         layers[li] = lc = d_acts = None  # release
 
     return dict(grads.named_params())

@@ -108,11 +108,6 @@ class MidiFile:
     tracks: list[Track] = field(default_factory=list)
 
 
-def events_equivalent(a: MidiFile, b: MidiFile) -> bool:
-    """Same format, division, and per-track event sequences."""
-    return a.format == b.format and a.division == b.division and a.tracks == b.tracks
-
-
 # --- parsing ---
 
 class _Reader:
@@ -249,54 +244,35 @@ def parse_midi(data: bytes) -> MidiFile:
         # unknown chunk types are skipped, per the SMF spec
         pos = body_start + length
 
-    return MidiFile(MidiFormat.SINGLE if fmt == 0 else MidiFormat.MULTI_TRACK, division, tracks)
+    return MidiFile(MidiFormat(fmt), division, tracks)
 
 
 # --- writing ---
 
-def _validate(mf: MidiFile) -> None:
-    if not mf.tracks:
-        raise InvariantViolation("MidiFile has no tracks")
-    if mf.format == MidiFormat.SINGLE and len(mf.tracks) != 1:
-        raise InvariantViolation(f"format 0 requires 1 track, got {len(mf.tracks)}")
-    if not 1 <= mf.division <= DIVISION_MAX:
-        raise InvariantViolation(f"division {mf.division} outside [1, {DIVISION_MAX}]")
-    for t, track in enumerate(mf.tracks):
-        if not track or not isinstance(track[-1].kind, EndOfTrack):
-            raise InvariantViolation(f"track {t} does not end with EndOfTrack")
-        for ev in track:
-            if not 0 <= ev.delta <= VLQ_MAX:
-                raise InvariantViolation(f"track {t}: delta {ev.delta} out of range")
-            if isinstance(ev.kind, EndOfTrack) and ev is not track[-1]:
-                raise InvariantViolation(f"track {t}: EndOfTrack before final event")
-            if isinstance(ev.kind, (NoteOn, NoteOff)):
-                k = ev.kind
-                if not (0 <= k.channel <= 15 and 0 <= k.key <= 127 and 0 <= k.velocity <= 127):
-                    raise InvariantViolation(f"track {t}: note field out of range: {k}")
-            elif isinstance(ev.kind, Tempo):
-                if not 1 <= ev.kind.us_per_quarter <= 0xFFFFFF:
-                    raise InvariantViolation(f"track {t}: tempo {ev.kind.us_per_quarter} out of range")
-            elif isinstance(ev.kind, Opaque):
-                k = ev.kind
-                if not 0x80 <= k.status <= 0xFF:
-                    raise InvariantViolation(f"track {t}: opaque status 0x{k.status:02X} invalid")
-                if k.status == 0xFF and len(k.data) < 1:
-                    raise InvariantViolation(f"track {t}: meta event with no type byte")
-
-
-def _encode_event(ev: MidiEvent) -> bytes:
+def _encode_event(t: int, ev: MidiEvent, last: bool) -> bytes:
+    """One event's bytes, after its checks; ``last``: it ends track ``t``."""
+    if not 0 <= ev.delta <= VLQ_MAX:
+        raise InvariantViolation(f"track {t}: delta {ev.delta} out of range")
     out = bytearray(encode_vlq(ev.delta))
     k = ev.kind
-    if isinstance(k, NoteOn):
-        out += bytes([0x90 | k.channel, k.key, k.velocity])
-    elif isinstance(k, NoteOff):
-        out += bytes([0x80 | k.channel, k.key, k.velocity])
+    if isinstance(k, (NoteOn, NoteOff)):
+        if not (0 <= k.channel <= 15 and 0 <= k.key <= 127 and 0 <= k.velocity <= 127):
+            raise InvariantViolation(f"track {t}: note field out of range: {k}")
+        out += bytes([(0x90 if isinstance(k, NoteOn) else 0x80) | k.channel, k.key, k.velocity])
     elif isinstance(k, Tempo):
+        if not 1 <= k.us_per_quarter <= 0xFFFFFF:
+            raise InvariantViolation(f"track {t}: tempo {k.us_per_quarter} out of range")
         out += b"\xff\x51\x03" + k.us_per_quarter.to_bytes(3, "big")
     elif isinstance(k, EndOfTrack):
+        if not last:
+            raise InvariantViolation(f"track {t}: EndOfTrack before final event")
         out += b"\xff\x2f\x00"
     elif isinstance(k, Opaque):
+        if not 0x80 <= k.status <= 0xFF:
+            raise InvariantViolation(f"track {t}: opaque status 0x{k.status:02X} invalid")
         if k.status == 0xFF:
+            if not k.data:
+                raise InvariantViolation(f"track {t}: meta event with no type byte")
             out += bytes([0xFF, k.data[0]]) + encode_vlq(len(k.data) - 1) + k.data[1:]
         elif k.status in (0xF0, 0xF7):
             out += bytes([k.status]) + encode_vlq(len(k.data)) + k.data
@@ -309,11 +285,17 @@ def _encode_event(ev: MidiEvent) -> bytes:
 
 def write_midi(mf: MidiFile) -> bytes:
     """Serialize to canonical SMF bytes (explicit status, minimal VLQs)."""
-    _validate(mf)
-    fmt = 0 if mf.format == MidiFormat.SINGLE else 1
+    if not mf.tracks:
+        raise InvariantViolation("MidiFile has no tracks")
+    if mf.format == MidiFormat.SINGLE and len(mf.tracks) != 1:
+        raise InvariantViolation(f"format 0 requires 1 track, got {len(mf.tracks)}")
+    if not 1 <= mf.division <= DIVISION_MAX:
+        raise InvariantViolation(f"division {mf.division} outside [1, {DIVISION_MAX}]")
     out = bytearray(b"MThd")
-    out += struct.pack(">IHHH", 6, fmt, len(mf.tracks), mf.division)
-    for track in mf.tracks:
-        body = b"".join(_encode_event(ev) for ev in track)
+    out += struct.pack(">IHHH", 6, mf.format.value, len(mf.tracks), mf.division)
+    for t, track in enumerate(mf.tracks):
+        if not track or not isinstance(track[-1].kind, EndOfTrack):
+            raise InvariantViolation(f"track {t} does not end with EndOfTrack")
+        body = b"".join(_encode_event(t, ev, i == len(track) - 1) for i, ev in enumerate(track))
         out += b"MTrk" + struct.pack(">I", len(body)) + body
     return bytes(out)

@@ -133,12 +133,17 @@ def events_to_piece(mf: MidiFile, grid: int = DEFAULT_GRID) -> tuple[Piece, int]
     return Piece(grid=grid, events=events, tempo=tempo), dangling
 
 
-def _check_piece(piece: Piece) -> None:
+def piece_to_midi(piece: Piece) -> MidiFile:
+    """Render a Piece as a format-0 MidiFile at 4 ticks per grid unit."""
     if piece.grid < 1:
         raise InvariantViolation(f"grid must be >= 1, got {piece.grid}")
     if not 1 <= piece.tempo <= 0xFFFFFF:
         raise InvariantViolation(f"tempo {piece.tempo} out of range")
-    prev_onset = -1
+    ticks_per_unit = 4
+
+    # (tick, order, pitch, kind) with note offs before ons at equal ticks
+    timed: list[tuple[int, int, int, NoteOn | NoteOff]] = []
+    span_end = prev_onset = 0
     for ev in piece.events:
         if ev.onset < 0 or ev.duration < 1:
             raise InvariantViolation(f"bad event timing: {ev}")
@@ -149,30 +154,18 @@ def _check_piece(piece: Piece) -> None:
         if any(not 0 <= p <= 127 for p in ev.pitches):
             raise InvariantViolation(f"pitch out of range: {ev.pitches}")
         prev_onset = ev.onset
-
-
-def piece_to_midi(piece: Piece) -> MidiFile:
-    """Render a Piece as a format-0 MidiFile at 4 ticks per grid unit."""
-    _check_piece(piece)
-    division = 4 * piece.grid
-    ticks_per_unit = 4
-
-    # (tick, order, encoded) with note offs before ons at equal ticks
-    timed: list[tuple[int, int, int, MidiEvent]] = []
-    span_end = 0
-    for ev in piece.events:
         span_end = max(span_end, ev.end)
         on_tick = ev.onset * ticks_per_unit
         off_tick = ev.end * ticks_per_unit
         for p in ev.pitches:
-            timed.append((on_tick, 1, p, MidiEvent(0, NoteOn(0, p, EMIT_VELOCITY))))
-            timed.append((off_tick, 0, p, MidiEvent(0, NoteOff(0, p, 0))))
+            timed.append((on_tick, 1, p, NoteOn(0, p, EMIT_VELOCITY)))
+            timed.append((off_tick, 0, p, NoteOff(0, p, 0)))
     timed.sort(key=lambda item: item[:3])
 
     track = [MidiEvent(0, Tempo(piece.tempo))]
     cursor = 0
-    for tick, _, _, ev in timed:
-        track.append(MidiEvent(tick - cursor, ev.kind))
+    for tick, _, _, kind in timed:
+        track.append(MidiEvent(tick - cursor, kind))
         cursor = tick
     track.append(MidiEvent(span_end * ticks_per_unit - cursor, EndOfTrack()))
-    return MidiFile(MidiFormat.SINGLE, division, [track])
+    return MidiFile(MidiFormat.SINGLE, ticks_per_unit * piece.grid, [track])

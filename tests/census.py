@@ -1,8 +1,10 @@
 """Opt-in pytest plugin: list the ``raise`` statements of the ``midilstm``
-package that no test reaches.
+package that no test reaches, and the package's functions, methods and
+classes that no code outside the tests uses.
 
     PYTHONPATH=src:tests python -m pytest -p census \\
         --deselect tests/test_acceptance.py::test_criterion_5_midi_round_trip
+    PYTHONPATH=src python tests/census.py   # the second list alone, no tests run
 
 It traces the lines run in the package's own files, on the main thread
 (``sys.settrace``) and on every thread started after it loads
@@ -10,8 +12,17 @@ It traces the lines run in the package's own files, on the main thread
 traced. At the end of the session it prints each ``raise`` statement none of
 whose lines ran, as ``path:line``. Tracing slows the run by about half,
 which makes the acceptance test with a time bound fail, so it is
-deselected. The file name keeps pytest from collecting it as a test module,
-and tier-1 never loads it.
+deselected.
+
+The second list is static (``unused_names``): each function, method or
+class defined in the package whose name no module of the package or of
+``bench/`` uses, as a name, an attribute or an entry of
+``bench/spans.TARGETS``. Its own definition and ``__init__``'s re-exports
+do not count, nor do the tests. Names are matched by spelling alone, so a
+method that shares its name with one in use elsewhere is not listed.
+
+The file name keeps pytest from collecting it as a test module, and tier-1
+never loads it.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from collections import defaultdict
 from pathlib import Path
 
 PACKAGE = Path(importlib.util.find_spec("midilstm").submodule_search_locations[0]).resolve()
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 _ran: dict[str, set[int]] = defaultdict(set)
 _inside: dict[str, bool] = {}
 
@@ -62,6 +74,27 @@ def unreached_raises() -> list[str]:
     return [f"{name}:{line}" for name, line in sorted(found)]
 
 
+def unused_names() -> list[str]:
+    """``module.name`` of each package definition no package or bench
+    module uses (see the module docstring)."""
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif path.parent == PACKAGE and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((path.stem, node.name))
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+                used.update(t.rsplit(".", 1)[-1] for t in ast.literal_eval(node.value))
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
 def pytest_configure(config):
     threading.settrace(_trace)
     sys.settrace(_trace)
@@ -74,3 +107,11 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section(f"census: {len(unreached)} raise statement(s) never ran")
     for site in unreached:
         terminalreporter.write_line(site)
+    unused = unused_names()
+    terminalreporter.section(f"census: {len(unused)} definition(s) used only by tests, if at all")
+    for name in unused:
+        terminalreporter.write_line(name)
+
+
+if __name__ == "__main__":
+    print("\n".join(unused_names()))

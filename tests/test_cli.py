@@ -17,6 +17,7 @@ import pytest
 from conftest import looped_song
 from midilstm import cli
 from midilstm import corpus as corpus_module
+from midilstm import trainer as trainer_module
 from midilstm.cli import build_parser, main
 from midilstm.corpus import CorpusFile, Vocabulary, load_corpus, save_corpus
 from midilstm.midi_io import (
@@ -775,6 +776,16 @@ class TestUsage:
                   "--out", str(pipeline), "--hidden", "bogus"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [["gradcheck", "--hidden", "bogus"],
+                                      ["train", "--corpus", "c.txt", "--hidden", "8,,8"]])
+    def test_unparseable_hidden_names_the_setting(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        value = argv[-1]
+        assert f"argument --hidden: invalid hidden_sizes value: '{value}'" in \
+            capsys.readouterr().err
+
     def test_bad_numeric_value_is_usage_error(self, pipeline):
         out = pipeline / "t"
         for flag, value in [("--epochs", "-1"), ("--lr", "nan"), ("--lr", "inf"),
@@ -863,6 +874,8 @@ class TestUsage:
 ARTIFACTS = ["corpus.txt", "ingest_manifest.json", "checkpoint_ep0001.bin", "checkpoint.bin",
              "metrics.csv", "train_manifest.json", "out_000.mid", "out_000.tokens",
              "generate_manifest.json"]
+# the command that writes each artifact
+WRITER = dict(zip(ARTIFACTS, ["ingest"] * 2 + ["train"] * 4 + ["generate"] * 3))
 
 
 def write_artifacts(midi_dir, out, inputs) -> list[int]:
@@ -906,8 +919,10 @@ def test_a_write_cut_after_k_bytes_leaves_the_artifact_as_it_was(tmp_path, midi_
                                                                   monkeypatch, capsys, name):
     """Every artifact of ingest, train and generate is written through a
     sibling temp file: with the write of ``name`` cut after k bytes, for
-    several k, ``name`` is absent or holds its previous bytes, every other
-    artifact is that or whole, and no temp file is left behind."""
+    several k, ``name`` is absent or holds its previous bytes, the cut
+    command's manifest is absent (the command removes it before its first
+    write), every other artifact is absent, previous or whole, and no temp
+    file is left behind."""
     real_open, opened, cut = open, [], {}
 
     def cutting_open(file, mode="r", **kwargs):
@@ -937,9 +952,49 @@ def test_a_write_cut_after_k_bytes_leaves_the_artifact_as_it_was(tmp_path, midi_
         assert "injected: write cut" in capsys.readouterr().err
         left = sorted(os.listdir(out))
         assert set(left) <= set(ARTIFACTS), left  # no temp file
+        stale = f"{WRITER[name]}_manifest.json"
         for a in ARTIFACTS:
             data = (out / a).read_bytes() if a in left else None
-            assert data in ((previous,) if a == name else (previous, whole[a])), (k, a)
+            allowed = (None,) if a == stale else (previous,) if a == name else (previous, whole[a])
+            assert data in allowed, (k, a)
+
+
+def cut_at_call(monkeypatch, module, name: str, k: int) -> None:
+    """Make ``module.name`` raise OSError on its k-th call."""
+    real, calls = getattr(module, name), []
+
+    def cut(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == k:
+            raise OSError(f"injected: call {k} of {name} cut")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, cut)
+
+
+@pytest.mark.parametrize("command, k", [("generate", 1), ("generate", 2), ("generate", 3),
+                                        ("train", 1), ("train", 2), ("train", 3),
+                                        ("variants", 1), ("variants", 2)])
+def test_a_rerun_cut_at_its_kth_output_leaves_no_manifest(pipeline, tmp_path, monkeypatch,
+                                                          capsys, command, k):
+    """A rerun into the directory of a finished run, with another seed, cut at
+    its k-th song, checkpoint or variant, leaves no manifest: the first
+    run's would list files the rerun has overwritten."""
+    argv, module, name = {
+        "generate": (["--checkpoint", str(pipeline / "checkpoint.bin"), "--count", "3",
+                      "--length", "10"], cli, "write_midi"),
+        "train": ([*TRAIN_FLAGS, "--checkpoint-every", "1"], trainer_module, "save_checkpoint"),
+        "variants": ([*TRAIN_FLAGS, "--count", "1", "--length", "10",
+                      "--variant", "a:", "--variant", "b:lr=0.01"], cli, "train"),
+    }[command]
+    out = tmp_path / "rerun"
+    argv = [command, *argv, "--corpus", str(pipeline / "corpus.txt"), "--out", str(out)]
+    manifest = out / f"{command}_manifest.json"
+    assert main([*argv, "--seed", "1"]) == 0 and manifest.exists()
+    cut_at_call(monkeypatch, module, name, k)
+    assert main([*argv, "--seed", "2"]) == 2
+    assert "injected" in capsys.readouterr().err
+    assert not manifest.exists()
 
 
 @pytest.mark.parametrize("batch_size", [
