@@ -22,14 +22,7 @@ from .lstm import (
     model_backward,
     model_forward,
 )
-from .midi_io import (
-    MidiFile,
-    MidiFormat,
-    decode_vlq,
-    encode_vlq,
-    parse_midi,
-    write_midi,
-)
+from .midi_io import MidiFile, MidiFormat, encode_vlq, parse_midi, write_midi
 from .numerics import Rng, adam_step, derive_seed, softmax, xavier_init
 from .score import NoteEvent, Piece, events_to_piece, piece_to_midi
 from .trainer import (

@@ -3,15 +3,14 @@ model, sample the next (note, duration) pair from the two heads, repeat.
 
 Every window runs through the stack from zero state over its own L tokens,
 as in training. Window u covers tokens u-L .. u-1 and yields token u, so up
-to L windows are in flight at once and all of them consume the same token
-at the same step. They advance together as the rows of one batch, oldest
-first: at step t a window with zero state joins for the window that starts
-at token t, every row consumes token t (one batched product and one cell
-step per layer, on lanes of rows where every product of the step splits,
-see ``lstm.step_rows``), and once the oldest row has consumed its L tokens
-its top h feeds the heads, the next token is sampled and the row leaves.
-The work per token is that of one full window, grouped into L-row products
-instead of L single-row ones.
+to L windows are in flight, and all of them consume the same token at the
+same step. They advance together as the rows of one ``lstm.Wavefront``,
+oldest first: at step t the window that starts at token t joins, every row
+consumes token t, and once the oldest row has consumed its L tokens its top
+h feeds the heads, the next token is drawn and the row leaves. Per token
+this is one full window's work, in L-row products. The recurrent products
+run a step ahead, off the drawn token's path, and skip each window's first
+one, whose h is zero.
 
 ``_select`` is the one place that applies the mode and the temperature.
 Temperature divides the head logits before the softmax (applied there to
@@ -33,7 +32,7 @@ import numpy as np
 
 from .corpus import Dataset, Vocabulary, parse_note_token
 from .errors import BadToken, CorpusTooShort, UsageError
-from .lstm import ModelParams, heads, step_rows
+from .lstm import ModelParams, Wavefront, heads
 from .numerics import Rng, softmax
 from .score import NoteEvent, Piece
 
@@ -104,11 +103,6 @@ class GenResult:
                 "distinct_note_ratio": len(set(self.notes)) / len(self.notes)}
 
 
-def _open_row(states: list[np.ndarray]) -> list[np.ndarray]:
-    """``states`` with one more row of zero state at the end."""
-    return [np.concatenate([s, np.zeros((1, s.shape[1]))]) for s in states]
-
-
 def generate(params: ModelParams, note_vocab: Vocabulary, dur_vocab: Vocabulary,
              seed_notes, seed_durs, config: GenConfig, rng: Rng) -> GenResult:
     """Generate exactly ``config.length`` (note, duration) pairs from a seed
@@ -122,32 +116,30 @@ def generate(params: ModelParams, note_vocab: Vocabulary, dur_vocab: Vocabulary,
     dur_ids = [dur_vocab.encode(tok) for tok in seed_durs]
     L, n, cap = len(note_ids), config.length, config.repeat_cap
     saturations = triggers = 0
-    h = [np.zeros((0, layer.hidden_size)) for layer in params.layers]
-    c = list(h)
-
-    for t in range(L + n - 1):
-        if t < n:  # the window that yields token t + L starts at token t
-            h, c = _open_row(h), _open_row(c)
-        step_rows(params, h, c, note_ids[t], dur_ids[t])
-        if t < L - 1:
-            continue
-        # the oldest window has consumed its L tokens: it yields token t + 1
-        note_probs, dur_probs = heads(h[-1][:1], params)
-        h, c = [s[1:] for s in h], [s[1:] for s in c]
-        note_id = _select(note_probs[0], config, rng)
-        if cap and len(note_ids) >= L + cap and note_ids[-cap:] == [note_id] * cap:
-            # exclude from the head distribution, then temper: tempering
-            # after the exclusion does not underflow at small temperatures
-            triggers += 1
-            masked = note_probs[0].copy()
-            masked[note_id] = 0.0
-            total = masked.sum()
-            if total > 0.0:
-                note_id = _select(masked / total, config, rng)
-            else:
-                saturations += 1
-        note_ids.append(note_id)
-        dur_ids.append(_select(dur_probs[0], config, rng))
+    rows = Wavefront(params)  # the window that yields token t + L starts at token t
+    try:
+        for t in range(L + n - 1):
+            top = rows.step(note_ids[t], dur_ids[t], leave=t >= L - 1, join=t + 1 < n)
+            if t < L - 1:
+                continue
+            # the oldest window has consumed its L tokens: it yields token t + 1
+            note_probs, dur_probs = heads(top[:1], params)
+            note_id = _select(note_probs[0], config, rng)
+            if cap and len(note_ids) >= L + cap and note_ids[-cap:] == [note_id] * cap:
+                # exclude from the head distribution, then temper: tempering
+                # after the exclusion does not underflow at small temperatures
+                triggers += 1
+                masked = note_probs[0].copy()
+                masked[note_id] = 0.0
+                total = masked.sum()
+                if total > 0.0:
+                    note_id = _select(masked / total, config, rng)
+                else:
+                    saturations += 1
+            note_ids.append(note_id)
+            dur_ids.append(_select(dur_probs[0], config, rng))
+    finally:
+        rows.close()
 
     return GenResult([note_vocab.decode(i) for i in note_ids[L:]],
                      [dur_vocab.decode(i) for i in dur_ids[L:]], saturations, triggers)

@@ -29,10 +29,15 @@ the h -> h recurrence runs step by step. The train-mode cache holds each
 layer's activated gates and dropout keep mask, but no cell or hidden
 states: the backward pass rebuilds one layer's c, and then its h, at a time
 from its gates, and releases each layer's cache once it has passed it.
-``step_rows`` is the other way through the same cell: it advances a batch
-of windows that all read the same token by one step, which is how the
-generator runs its windows in flight, each lane of rows through every
-layer; both paths end in ``heads``.
+``Wavefront`` is the other way through the same cell; both end in ``heads``.
+It steps the generator's windows in flight, rows that all read one token.
+Each layer's product is split at its weight rows, ``x @ w[H:]`` plus
+``h @ w[:H]``, and the recurrent half of the next step is queued on the
+lanes' pool (``product_ahead``) once the cell has written h, while the
+calling thread runs the token's path: layer 0's input row, each upper
+layer's input product, the cells, and in the generator the heads and the
+draw. A joining row's recurrent term is a zero row, and a leaving row is
+not queued.
 
 Inverted dropout is applied to each layer's h on the way up to the next
 layer (train mode only); the recurrent h -> h_next connection and the head
@@ -50,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, ShapeMismatch, StaleCache, UsageError, VocabMismatch
-from .numerics import (CE_FLOOR, Rng, lane_product, matmul, product_lanes, run_lanes,
-                       sigmoid, softmax, xavier_init)
+from .numerics import (CE_FLOOR, Rng, lane_product, matmul, product_ahead, product_lanes,
+                       run_lanes, sigmoid, softmax, xavier_init)
 
 GATES = ("forget", "input", "cand", "output")  # checkpoint and init order
 COLUMNS = ("forget", "input", "output", "cand")  # gate blocks along w's columns
@@ -308,35 +313,43 @@ def heads(h_top: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarra
             softmax(matmul(h_top, params.w_dur) + params.b_dur))
 
 
-def step_rows(params: ModelParams, h: list[np.ndarray], c: list[np.ndarray],
-              note_id: int, dur_id: int) -> None:
-    """Advance a batch of windows that all consume the token (note_id,
-    dur_id) by one step, in place: ``h[k]`` and ``c[k]`` are layer k's
-    (rows, H) states, and each of their rows is overwritten by its new one.
-    Per row this is the step ``model_forward`` takes, up to the rounding of
-    the batched products.
+class Wavefront:
+    """Generation's windows in flight, as rows oldest first (see above). Per
+    row, a step is the one ``model_forward`` takes, up to rounding."""
 
-    The step runs on lanes of rows, each through every layer, as many as
-    the step's products all allow (``product_lanes``), so the bytes do not
-    depend on the lane count. A lane reads its rows of layer k before it
-    writes them, and no other lane touches them."""
-    first = params.layers[0]
-    H0, nv = first.hidden_size, params.w_note.shape[1]
-    # each layer's weight and the row added to its product: for layer 0 the
-    # recurrent weight and one gathered input row, shared by all rows
-    terms = [(first.w[:H0], first.w[H0 + note_id] + first.w[H0 + nv + dur_id] + first.b[0]),
-             *((layer.w, layer.b) for layer in params.layers[1:])]
-    rows = h[0].shape[0]
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self.c = [np.zeros((1, layer.hidden_size)) for layer in params.layers]
+        # each layer's recurrent term of the next step, queued
+        self.ahead = [product_ahead(c[:0], layer.w[:c.shape[1]], 1)
+                      for c, layer in zip(self.c, params.layers)]
 
-    def step(lo: int, hi: int) -> None:  # rows [lo, hi), every layer
+    def step(self, note_id: int, dur_id: int, leave: bool, join: bool) -> np.ndarray:
+        """Advance every row by the token (note_id, dur_id) and return the
+        top layer's new h, a row a window. Then the oldest row leaves if
+        ``leave``, and a row joins for the next step if ``join``."""
+        params, c = self.params, self.c
+        first = params.layers[0]
+        H0, nv = first.hidden_size, params.w_note.shape[1]
+        row = first.w[H0 + note_id] + first.w[H0 + nv + dur_id] + first.b[0]
         x = None
-        for k, (w, row) in enumerate(terms):
-            a = matmul(h[k][lo:hi] if x is None else np.hstack([h[k][lo:hi], x]), w)
-            a += row
-            x, c[k][lo:hi] = cell_forward(a, c[k][lo:hi])
-            h[k][lo:hi] = x
+        for k, layer in enumerate(params.layers):
+            H = layer.hidden_size
+            # an upper layer's input product runs while its recurrent one may still
+            a = matmul(x, layer.w[H:]) if k else self.ahead[0].result()
+            a += self.ahead[k].result() if k else row
+            if k:
+                a += layer.b
+            x, c[k] = cell_forward(a, c[k])
+            if rows := len(x) - leave + join:  # the last step queues nothing
+                self.ahead[k] = product_ahead(x[leave:], layer.w[:H], rows)
+            c[k] = np.concatenate([c[k][leave:], np.zeros((int(join), H))])
+        return x
 
-    run_lanes(step, rows, min(product_lanes(rows, *w.shape) for w, _ in terms))
+    def close(self) -> None:
+        """Wait for the queued products: none outlives the generation."""
+        for future in self.ahead:
+            future.exception()
 
 
 def model_backward(cache: ForwardCache, note_targets: np.ndarray,

@@ -31,14 +31,8 @@ DIVISION_MAX = 32767
 
 # --- variable-length quantities ---
 
-def decode_vlq(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode one VLQ starting at ``offset``. Returns (value, bytes consumed)."""
-    r = _Reader(data, offset)
-    return r.vlq(), r.pos - offset
-
-
 def encode_vlq(value: int) -> bytes:
-    """Minimal-length VLQ encoding of ``value`` (inverse of decode_vlq)."""
+    """Minimal-length VLQ encoding of ``value`` (inverse of ``_Reader.vlq``)."""
     if not 0 <= value <= VLQ_MAX:
         raise InvariantViolation(f"VLQ value {value} outside [0, {VLQ_MAX}]")
     out = bytearray([value & 0x7F])

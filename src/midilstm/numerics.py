@@ -6,15 +6,14 @@ model code, 1-D for the whole-arena passes. Operations are deterministic:
 identical inputs (and RNG seed) reproduce bit-identical outputs on the same
 machine, which is what makes checkpoints and generated files reproducible.
 
-The batch passes and each generation step run on lanes: contiguous row
-slices of one batch (or of one step's windows), the first on the calling
-thread and the others on one standard-library thread pool, started by the
-first pass that splits (``run_lanes``). Importing this module pins numpy's
-OpenBLAS to one thread, so its serial driver computes every product and
-the lanes take every usable core (``lanes``). A product is split only
-where each slice rounds exactly as the whole does (``product_lanes``), so
-the bytes depend on neither the lane count nor ``OPENBLAS_NUM_THREADS``. A
-product over all rows of a batch splits through ``lane_product``.
+Importing this module pins numpy's OpenBLAS to one thread, so its serial
+driver computes every product and the lanes take every usable core
+(``lanes``): the calling thread and the threads of one standard-library
+pool, started by its first task. The batch passes run on lanes of rows
+(``run_lanes``, ``lane_product``), split only where each slice rounds as
+the whole does (``product_lanes``). Generation queues whole products on the
+pool to run while the caller goes on (``product_ahead``). So the bytes
+depend on neither the lane count nor ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,10 @@ ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 # most SMALL_GEMM multiply-adds may take the small-matrix kernels (SkylakeX),
 # which round differently from the blocked kernels; those round a slice's last
 # rows differently from the whole's unless the product's column count is a
-# multiple of GEMM_COLS
+# multiple of GEMM_COLS. A product split at its inner dimension, [h | x] @ w
+# as h @ w[:H] + x @ w[H:], rounds as the whole only where the kernels' own
+# K blocks end at H: with OpenBLAS 0.3.31's SkylakeX kernels, at H = 256 and
+# 384, but not at 5-200 or 512
 SMALL_GEMM = 100 ** 3
 GEMM_COLS = 8
 
@@ -165,8 +167,17 @@ def product_lanes(rows: int, inner: int, cols: int) -> int:
     return k
 
 
-_pool = None  # runs the lanes after the first, started by the first pass that splits
+_pool = None  # runs the lanes after the first, started by the first task
 _lanes_busy = threading.Lock()
+
+
+def _lane_pool():
+    """The pool, with a thread for each lane but the caller's."""
+    global _pool
+    if _pool is None:  # imported here: it would add to every command's start-up
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(max(1, lanes() - 1), thread_name_prefix="lane")
+    return _pool
 
 
 def run_lanes(fn, n: int, k: int) -> None:
@@ -177,16 +188,12 @@ def run_lanes(fn, n: int, k: int) -> None:
     the lanes (a second caller thread, or a lane itself), ``fn`` runs on one
     slice, so no lane waits on itself. The bytes do not depend on the lane
     count."""
-    global _pool
     if k <= 1 or not _lanes_busy.acquire(blocking=False):
         fn(0, n)
         return
     try:
-        if _pool is None:  # imported here: it would add to every command's start-up
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(thread_name_prefix="lane")
         bounds = [n * i // k for i in range(k + 1)]
-        futures = [_pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        futures = [_lane_pool().submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
         try:
             fn(bounds[0], bounds[1])
         finally:
@@ -205,6 +212,27 @@ def lane_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     run_lanes(lambda lo, hi: matmul(a[lo:hi], b, out=out[lo:hi]),
               a.shape[0], product_lanes(a.shape[0], *b.shape))
     return out
+
+
+def product_ahead(a: np.ndarray, b: np.ndarray, rows: int):
+    """A future of a new (rows, b.shape[1]) array, ``a @ b`` in its first
+    rows and zeros after, allocated here (see ``lane_product``). The product
+    runs on the pool while the caller goes on, which must wait for it, or at
+    once at one lane or while a pass holds the lanes."""
+    from concurrent.futures import Future
+    out = np.empty((rows, b.shape[1]))
+    out[len(a):] = 0.0
+
+    def product() -> np.ndarray:
+        if len(a):  # no product over no rows
+            matmul(a, b, out=out[:len(a)])
+        return out
+
+    if len(a) and lanes() > 1 and not _lanes_busy.locked():
+        return _lane_pool().submit(product)
+    done = Future()
+    done.set_result(product())
+    return done
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -12,6 +12,7 @@ from midilstm.midi_io import (
     NoteOn,
     Opaque,
     Tempo,
+    encode_vlq,
     write_midi,
 )
 from midilstm.numerics import Rng
@@ -67,6 +68,20 @@ def random_midi_file(rng: Rng) -> MidiFile:
         events.append(MidiEvent(rng.randint(division), EndOfTrack()))
         tracks.append(events)
     return MidiFile(fmt, division, tracks)
+
+
+def one_track_file(body: bytes) -> bytes:
+    """SMF bytes of a format-0 file, 480 ticks a quarter, whose one track
+    chunk holds ``body``."""
+    return (b"MThd" + (6).to_bytes(4, "big") + bytes.fromhex("0000" "0001" "01e0")
+            + b"MTrk" + len(body).to_bytes(4, "big") + body)
+
+
+def delta_file(deltas) -> bytes:
+    """A one-track file with a NoteOn at each delta, written as its VLQ, then
+    an end of track: parsing it decodes every VLQ of ``deltas``."""
+    return one_track_file(b"".join(encode_vlq(d) + b"\x90\x3c\x40" for d in deltas)
+                          + b"\x00\xff\x2f\x00")
 
 
 def looped_song(seed: int, n_tokens: int = 200, period: int = 25,

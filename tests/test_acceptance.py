@@ -7,17 +7,12 @@ complete. Criteria with runtime bounds measure and enforce them.
 import json
 import time
 
-from conftest import looped_song, random_piece, song_dataset
+from conftest import delta_file, looped_song, random_piece, song_dataset
 from midilstm.cli import main
 from midilstm.corpus import CorpusFile, save_corpus
 from midilstm.generator import GenConfig, emit, generate, pick_seed
 from midilstm.lstm import ModelConfig, ModelParams, grad_check, reference_check_config
-from midilstm.midi_io import (
-    decode_vlq,
-    encode_vlq,
-    parse_midi,
-    write_midi,
-)
+from midilstm.midi_io import _Reader, encode_vlq, parse_midi, write_midi
 from midilstm.numerics import Rng
 from midilstm.score import events_to_piece, piece_to_midi
 from midilstm.trainer import TrainConfig, evaluate, train
@@ -132,13 +127,16 @@ def test_criterion_5_midi_round_trip(tmp_path):
         canonical = write_midi(first)
         ok &= first == parse_midi(canonical)
         ok &= write_midi(parse_midi(canonical)) == canonical
+    # every VLQ 0 .. 2^21 through the reader that parses each event's delta
     for n in range(2 ** 21 + 1):
         enc = encode_vlq(n)
-        if decode_vlq(enc) != (n, len(enc)):
+        r = _Reader(enc)
+        if (r.vlq(), r.pos) != (n, len(enc)):
             ok = False
             break
-    top = (1 << 28) - 1
-    ok &= decode_vlq(encode_vlq(top)) == (top, 4)
+    # and the byte-count boundaries through a whole file
+    edges = [0, 127, 128, (1 << 14) - 1, 1 << 14, (1 << 21) - 1, 1 << 21, (1 << 28) - 1]
+    ok &= [ev.delta for ev in parse_midi(delta_file(edges)).tracks[0]] == [*edges, 0]
     elapsed = time.time() - start
     report(5, "MIDI round trips and exhaustive VLQ codec check",
            ok and elapsed < 30.0, f"{elapsed:.1f}s")

@@ -1,8 +1,11 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from conftest import looped_song, song_dataset
-from midilstm import generator, numerics
+from midilstm import generator, lstm, numerics
 from midilstm.corpus import Vocabulary
 from midilstm.errors import BadToken, CorpusTooShort, VocabMismatch
 from midilstm.generator import GenConfig, GenResult, emit, generate, pick_seed
@@ -32,6 +35,19 @@ def recorded_heads(monkeypatch) -> list:
 
     monkeypatch.setattr(generator, "heads", recorded)
     return rows
+
+
+def product_threads(monkeypatch) -> set:
+    """The names of the threads that run ``numerics.matmul`` from here on."""
+    names, original = set(), numerics.matmul
+
+    def recorded(a, b, **kwargs):
+        names.add(threading.current_thread().name)
+        return original(a, b, **kwargs)
+
+    monkeypatch.setattr(numerics, "matmul", recorded)
+    monkeypatch.setattr(lstm, "matmul", recorded)
+    return names
 
 
 def rig_note_head(params, note_id, bias=50.0):
@@ -147,18 +163,22 @@ class TestWavefront:
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
-    @pytest.mark.parametrize("mode", ["sample", "argmax"])
-    def test_generation_does_not_depend_on_the_lane_count(self, monkeypatch, mode):
-        L, H = 16, 256  # a full wavefront of L rows splits in every product of a step
-        params, config, nv, dv, sn, sd, _ = setup_model(window_len=L, hidden=(H, H))
+    @pytest.mark.parametrize("mode, hidden", [
+        pytest.param(mode, hidden, id=mode + name)
+        for name, hidden in (("", (256, 256)), ("-3x256", (256, 256, 256)), ("-1x256", (256,)))
+        for mode in ("sample", "argmax")])
+    def test_generation_does_not_depend_on_the_lane_count(self, monkeypatch, mode, hidden):
+        L = 16
+        params, config, nv, dv, sn, sd, _ = setup_model(window_len=L, hidden=hidden)
         rows = recorded_heads(monkeypatch)
+        threads = product_threads(monkeypatch)
         results, probs = [], []
         for lanes in (1, 2, 3):
             monkeypatch.setattr(numerics, "lanes", lambda: lanes)
-            assert numerics.product_lanes(L, H, 4 * H) == numerics.product_lanes(
-                L, 2 * H, 4 * H) == lanes
+            threads.clear()
             result = generate(params, nv, dv, sn, sd,
                               GenConfig(length=60, mode=mode, repeat_cap=2), Rng(13))
+            assert (threads == {"MainThread"}) == (lanes == 1), threads  # inline at 1 lane
             results.append((result.notes, result.durs, result.guard_triggers,
                             result.guard_saturations))
             probs.append(np.concatenate([p for row in rows for p in row], axis=1))
@@ -167,6 +187,45 @@ class TestWavefront:
         for lanes in (2, 3):
             assert results[lanes - 1] == results[0], lanes
             assert np.array_equal(probs[lanes - 1], probs[0]), lanes  # bit for bit
+
+    @pytest.mark.parametrize("hidden", [(256, 256), (256,)])
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_no_product_outlives_a_failed_generation(self, monkeypatch, hidden, k):
+        """``heads`` raises at token k: no product is still running when the
+        error leaves ``generate``, and the next call gives a fresh run's song."""
+        params, config, nv, dv, sn, sd, _ = setup_model(window_len=16, hidden=hidden)
+        monkeypatch.setattr(numerics, "lanes", lambda: 2)
+        fresh = generate(params, nv, dv, sn, sd, GenConfig(length=20), Rng(3))
+        started, running, original = [], [], numerics.matmul
+
+        def slow(a, b, **kwargs):  # long enough to be in flight when heads raises
+            started.append(a.shape)
+            running.append(a.shape)
+            time.sleep(0.005)
+            out = original(a, b, **kwargs)
+            running.remove(a.shape)
+            return out
+
+        monkeypatch.setattr(numerics, "matmul", slow)
+        monkeypatch.setattr(lstm, "matmul", slow)
+        calls = []
+
+        def failing(h_top, params):
+            calls.append(h_top)
+            if len(calls) > k:
+                raise RuntimeError("heads failed")
+            return heads(h_top, params)
+
+        monkeypatch.setattr(generator, "heads", failing)
+        with pytest.raises(RuntimeError, match="heads failed"):
+            generate(params, nv, dv, sn, sd, GenConfig(length=20), Rng(3))
+        assert running == []
+        count = len(started)
+        time.sleep(0.02)
+        assert len(started) == count  # nothing was left queued either
+        monkeypatch.setattr(generator, "heads", heads)
+        again = generate(params, nv, dv, sn, sd, GenConfig(length=20), Rng(3))
+        assert (again.notes, again.durs) == (fresh.notes, fresh.durs)
 
     def test_stats(self):
         result = GenResult(["60", "60", "62", "60", "60", "60"], [3] * 6,

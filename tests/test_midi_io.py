@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_midi_file
+from conftest import delta_file, one_track_file, random_midi_file
 from midilstm.errors import (
     BadHeader,
     DataError,
@@ -18,7 +18,6 @@ from midilstm.midi_io import (
     NoteOn,
     Opaque,
     Tempo,
-    decode_vlq,
     encode_vlq,
     parse_midi,
     write_midi,
@@ -38,18 +37,30 @@ GOLDEN = bytes.fromhex(
 )
 
 
+def note_deltas(data: bytes) -> list[int]:
+    """The delta of each NoteOn of the file's one track, as parsed."""
+    return [ev.delta for ev in parse_midi(data).tracks[0] if isinstance(ev.kind, NoteOn)]
+
+
+def notes_after(*raw_deltas: bytes) -> bytes:
+    """A one-track file with a NoteOn after each raw delta."""
+    return one_track_file(b"".join(d + b"\x90\x3c\x40" for d in raw_deltas))
+
+
 class TestVlq:
+    """VLQs are decoded where ``parse_midi`` reads each event's delta."""
+
     def test_decode_zero(self):
-        assert decode_vlq(bytes([0x00])) == (0, 1)
+        assert note_deltas(notes_after(bytes([0x00]))) == [0]
 
     def test_decode_single_byte_max(self):
-        assert decode_vlq(bytes([0x7F])) == (127, 1)
+        assert note_deltas(notes_after(bytes([0x7F]))) == [127]
 
     def test_decode_two_bytes(self):
-        assert decode_vlq(bytes([0x81, 0x00])) == (128, 2)
+        assert note_deltas(notes_after(bytes([0x81, 0x00]))) == [128]
 
-    def test_decode_offset(self):
-        assert decode_vlq(bytes([0x00, 0x81, 0x00]), offset=1) == (128, 2)
+    def test_decode_offset(self):  # a VLQ after another event's bytes
+        assert note_deltas(notes_after(bytes([0x00]), bytes([0x81, 0x00]))) == [0, 128]
 
     def test_encode_zero(self):
         assert encode_vlq(0) == bytes([0x00])
@@ -59,17 +70,17 @@ class TestVlq:
 
     def test_encode_max(self):
         assert encode_vlq(0x0FFFFFFF) == bytes([0xFF, 0xFF, 0xFF, 0x7F])
-        assert decode_vlq(bytes([0xFF, 0xFF, 0xFF, 0x7F])) == (0x0FFFFFFF, 4)
+        assert note_deltas(notes_after(bytes([0xFF, 0xFF, 0xFF, 0x7F]))) == [0x0FFFFFFF]
 
-    def test_empty_stream(self):
+    def test_empty_stream(self):  # a meta event cut before its length
         with pytest.raises(TruncatedChunk):
-            decode_vlq(b"")
+            parse_midi(one_track_file(bytes.fromhex("00ff01")))
 
     def test_unterminated(self):
         with pytest.raises(UnterminatedVlq):
-            decode_vlq(bytes([0x80, 0x80, 0x80, 0x80, 0x00]))
+            parse_midi(one_track_file(bytes([0x80, 0x80, 0x80, 0x80, 0x00])))
         with pytest.raises(UnterminatedVlq):
-            decode_vlq(bytes([0x80]))
+            parse_midi(one_track_file(bytes([0x80])))
 
     def test_out_of_range(self):
         with pytest.raises(InvariantViolation):
@@ -79,14 +90,11 @@ class TestVlq:
 
     def test_round_trip_low_range(self):
         # acceptance covers the full 2^21 sweep; keep the unit test quick
-        for n in range(1 << 16):
-            enc = encode_vlq(n)
-            assert decode_vlq(enc) == (n, len(enc))
+        assert note_deltas(delta_file(range(1 << 16))) == list(range(1 << 16))
 
     def test_round_trip_boundaries(self):
-        for n in (127, 128, (1 << 14) - 1, 1 << 14, (1 << 21) - 1, 1 << 21, (1 << 28) - 1):
-            enc = encode_vlq(n)
-            assert decode_vlq(enc) == (n, len(enc))
+        values = [127, 128, (1 << 14) - 1, 1 << 14, (1 << 21) - 1, 1 << 21, (1 << 28) - 1]
+        assert note_deltas(delta_file(values)) == values
 
 
 class TestParse:
