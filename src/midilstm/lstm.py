@@ -31,13 +31,14 @@ states: the backward pass rebuilds one layer's c, and then its h, at a time
 from its gates, and releases each layer's cache once it has passed it.
 ``Wavefront`` is the other way through the same cell; both end in ``heads``.
 It steps the generator's windows in flight, rows that all read one token.
-Each layer's product is split at its weight rows, ``x @ w[H:]`` plus
-``h @ w[:H]``, and the recurrent half of the next step is queued on the
-lanes' pool (``product_ahead``) once the cell has written h, while the
-calling thread runs the token's path: layer 0's input row, each upper
-layer's input product, the cells, and in the generator the heads and the
-draw. A joining row's recurrent term is a zero row, and a leaving row is
-not queued.
+Each layer's recurrent product of the next step, ``h @ w[:H]``, is queued
+on the lanes' pool (``product_ahead``) once the cell has written h, while
+the calling thread runs the token's path: each layer's input term plus its
+bias, the cells, and in the generator the heads and the draw. A step adds
+the terms as ``model_forward`` does, (input term + bias) + recurrent term,
+so a window's h is the batch forward's bit for bit unless it went through
+a one-row product, which OpenBLAS runs as a GEMV and rounds differently.
+A joining row's recurrent term is a zero row; a leaving row is not queued.
 
 Inverted dropout is applied to each layer's h on the way up to the next
 layer (train mode only); the recurrent h -> h_next connection and the head
@@ -315,7 +316,7 @@ def heads(h_top: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarra
 
 class Wavefront:
     """Generation's windows in flight, as rows oldest first (see above). Per
-    row, a step is the one ``model_forward`` takes, up to rounding."""
+    row, a step is the one ``model_forward`` takes, in the same order."""
 
     def __init__(self, params: ModelParams):
         self.params = params
@@ -328,21 +329,17 @@ class Wavefront:
         """Advance every row by the token (note_id, dur_id) and return the
         top layer's new h, a row a window. Then the oldest row leaves if
         ``leave``, and a row joins for the next step if ``join``."""
-        params, c = self.params, self.c
-        first = params.layers[0]
-        H0, nv = first.hidden_size, params.w_note.shape[1]
-        row = first.w[H0 + note_id] + first.w[H0 + nv + dur_id] + first.b[0]
-        x = None
-        for k, layer in enumerate(params.layers):
-            H = layer.hidden_size
-            # an upper layer's input product runs while its recurrent one may still
-            a = matmul(x, layer.w[H:]) if k else self.ahead[0].result()
-            a += self.ahead[k].result() if k else row
-            if k:
-                a += layer.b
-            x, c[k] = cell_forward(a, c[k])
+        c, nv, x = self.c, self.params.w_note.shape[1], None
+        for k, layer in enumerate(self.params.layers):
+            H, w = layer.hidden_size, layer.w
+            # input term plus bias, while the queued recurrent product may still run
+            a = w[H + note_id] + w[H + nv + dur_id] if x is None else matmul(x, w[H:])
+            a += layer.b[0]
+            p = self.ahead[k].result()
+            p += a  # model_forward's sum: (input term + bias) + recurrent term
+            x, c[k] = cell_forward(p, c[k])
             if rows := len(x) - leave + join:  # the last step queues nothing
-                self.ahead[k] = product_ahead(x[leave:], layer.w[:H], rows)
+                self.ahead[k] = product_ahead(x[leave:], w[:H], rows)
             c[k] = np.concatenate([c[k][leave:], np.zeros((int(join), H))])
         return x
 

@@ -50,31 +50,31 @@ class MidiFormat(enum.Enum):
     MULTI_TRACK = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoteOn:
     channel: int
     key: int
     velocity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoteOff:
     channel: int
     key: int
     velocity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tempo:
     us_per_quarter: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndOfTrack:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Opaque:
     """Any event we carry but do not model. For meta events ``data`` starts
     with the meta type byte; length prefixes are recomputed on write."""
@@ -86,7 +86,7 @@ class Opaque:
 EventKind = NoteOn | NoteOff | Tempo | EndOfTrack | Opaque
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MidiEvent:
     delta: int
     kind: EventKind
@@ -185,7 +185,7 @@ def _parse_track(r: _Reader) -> Track:
             kind_nibble = status >> 4
             channel = status & 0x0F
             data = r.take(_CHANNEL_DATA_LEN[kind_nibble])
-            if any(d >= 0x80 for d in data):
+            if max(data) >= 0x80:
                 raise BadEvent(f"data byte >= 0x80 in event 0x{status:02X}")
             if kind_nibble == 0x9:
                 events.append(MidiEvent(delta, NoteOn(channel, data[0], data[1])))

@@ -43,10 +43,7 @@ ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 # most SMALL_GEMM multiply-adds may take the small-matrix kernels (SkylakeX),
 # which round differently from the blocked kernels; those round a slice's last
 # rows differently from the whole's unless the product's column count is a
-# multiple of GEMM_COLS. A product split at its inner dimension, [h | x] @ w
-# as h @ w[:H] + x @ w[H:], rounds as the whole only where the kernels' own
-# K blocks end at H: with OpenBLAS 0.3.31's SkylakeX kernels, at H = 256 and
-# 384, but not at 5-200 or 512
+# multiple of GEMM_COLS
 SMALL_GEMM = 100 ** 3
 GEMM_COLS = 8
 

@@ -141,8 +141,7 @@ def _add_batch_stats(totals: list, note_probs, dur_probs, note_t, dur_t) -> floa
     return ce_note + ce_dur
 
 
-def split_holdout(dataset: Dataset, windows: list[tuple[int, int]],
-                  fraction: float) -> tuple[list, list]:
+def split_holdout(windows: list[tuple[int, int]], fraction: float) -> tuple[list, list]:
     """Reserve the trailing ``fraction`` of each song's windows for eval."""
     if fraction <= 0.0:
         return windows, []
@@ -176,7 +175,7 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
     windows, _ = make_windows(dataset)
     if not windows:
         raise EmptyDataset("no training windows (songs shorter than window + 1?)")
-    windows, held = split_holdout(dataset, windows, config.holdout)
+    windows, held = split_holdout(windows, config.holdout)
     if not windows:
         raise EmptyDataset("holdout fraction left no training windows")
     batch_size = min(config.batch_size, len(windows))

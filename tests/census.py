@@ -21,8 +21,9 @@ class defined in the package whose name no module of the package or of
 do not count, nor do the tests. Names are matched by spelling alone, so a
 method that shares its name with one in use elsewhere is not listed.
 
-The file name keeps pytest from collecting it as a test module, and tier-1
-never loads it.
+The file name keeps pytest from collecting it as a test module. Tier-1
+imports it for the second list alone (``tests/test_census.py``, which
+requires it empty); only ``-p census`` installs the tracing.
 """
 
 from __future__ import annotations

@@ -24,12 +24,14 @@ def setup_model(seed=7, window_len=10, n_pitches=6, hidden=(16,)):
     return params, config, note_vocab, dur_vocab, seed_notes, seed_durs, dataset
 
 
-def recorded_heads(monkeypatch) -> list:
+def recorded_heads(monkeypatch, tops=None) -> list:
     """The (note, duration) rows of every ``heads`` call ``generate`` makes
-    from here on."""
+    from here on; each call's top h goes to ``tops`` too when given."""
     rows = []
 
     def recorded(h_top, params):
+        if tops is not None:
+            tops.append(h_top.copy())
         rows.append(heads(h_top, params))
         return rows[-1]
 
@@ -148,10 +150,16 @@ class TestGenerate:
 
 
 class TestWavefront:
+    @pytest.mark.parametrize("hidden", [(16,), (16, 12), (16, 12, 8)], ids=["1x", "2x", "3x"])
     @pytest.mark.parametrize("length", [4, 10, 23])  # below, at and above the window
-    def test_head_rows_match_model_forward_on_each_window(self, monkeypatch, length):
-        params, config, nv, dv, sn, sd, _ = setup_model(hidden=(16, 12))
-        rows = recorded_heads(monkeypatch)
+    def test_head_rows_match_model_forward_on_each_window(self, monkeypatch, length, hidden):
+        """Each window's head rows match its own ``model_forward``, and its top
+        h is bit for bit the one a batched ``model_forward`` over all windows
+        computes, but in the first and the last window: only they pass through
+        a one-row product, which rounds differently."""
+        params, config, nv, dv, sn, sd, _ = setup_model(hidden=hidden)
+        tops = []
+        rows = recorded_heads(monkeypatch, tops)
         result = generate(params, nv, dv, sn, sd, GenConfig(length=length), Rng(12))
         notes = [nv.encode(t) for t in sn + result.notes]
         durs = [dv.encode(d) for d in sd + result.durs]
@@ -162,6 +170,10 @@ class TestWavefront:
                                  params)[:2]
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+        windows = [np.array([ids[u:u + L] for u in range(length)]) for ids in (notes, durs)]
+        batched = model_forward(*windows, params)[2].h_final
+        for u in range(1, length - 1):
+            assert np.array_equal(tops[u][0], batched[u]), u
 
     @pytest.mark.parametrize("mode, hidden", [
         pytest.param(mode, hidden, id=mode + name)
