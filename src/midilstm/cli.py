@@ -409,7 +409,7 @@ def cmd_variants(args) -> int:
     seed_notes, seed_durs = _window_tokens(corpus, window)
     out = Path(args.out)  # train makes each variant's directory once its model is allocated
     (out / "variants_manifest.json").unlink(missing_ok=True)  # as _out_dir does
-    entries = {}
+    entries, outputs = {}, []
     for name, train_config in variants:
         vdir = out / name
         result = train(dataset, train_config, note_vocab, dur_vocab, out_dir=vdir)
@@ -417,6 +417,7 @@ def cmd_variants(args) -> int:
                                     seed_notes, seed_durs, corpus.grid, gen_config,
                                     cfg["count"], args.seed)
         write_metrics(vdir / "metrics.csv", result.metrics)
+        outputs += [*result.checkpoint_paths, *files, vdir / "metrics.csv"]
         entries[name] = {
             "config": asdict(train_config),
             "seed_window": window,
@@ -430,8 +431,7 @@ def cmd_variants(args) -> int:
         loss = entry["final_loss"]
         loss_text = f"{loss:.4f}" if loss is not None else "n/a"
         print(f"{name}: final loss {loss_text}  {len(entry['files'])} song(s)")
-    write_manifest(out, "variants", cfg, [args.corpus],
-                   [out / f for entry in entries.values() for f in entry["files"]], args.seed,
+    write_manifest(out, "variants", cfg, [args.corpus], outputs, args.seed,
                    [*TRAIN_SUB_SEEDS, "seedwin"] + [f"sampling.{i}" for i in range(cfg["count"])],
                    extra={"seed_window": window, "n_songs": cfg["count"], "variants": entries})
     return EXIT_OK

@@ -15,6 +15,7 @@ fields, header first):
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -112,23 +113,25 @@ class Dataset:
     dur_ids: list[np.ndarray]
 
 
-def make_windows(dataset: Dataset) -> tuple[list[tuple[int, int]], int]:
-    """All stride-1 (song, offset) training windows.
+def make_windows(dataset: Dataset, holdout: float = 0.0
+                 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """All stride-1 (song, offset) windows, as (training, held-out) lists in
+    song and offset order.
 
     A window at offset i covers tokens [i, i+L) with token i+L as target, so
-    a song of N tokens yields max(0, N - L) windows. Returns the window list
-    and the number of songs too short to yield any.
+    a song of N tokens yields n = max(0, N - L) windows, of which the last
+    ceil(n * holdout) are held out (``holdout`` is in [0, 1)).
     """
     L = dataset.window_len
-    windows: list[tuple[int, int]] = []
-    skipped = 0
+    windows, held = [], []
     for song, ids in enumerate(dataset.note_ids):
         n = len(ids) - L
         if n <= 0:
-            skipped += 1
             continue
-        windows.extend((song, off) for off in range(n))
-    return windows, skipped
+        cut = n - math.ceil(n * holdout)
+        windows.extend((song, off) for off in range(cut))
+        held.extend((song, off) for off in range(cut, n))
+    return windows, held
 
 
 def encode_songs(songs, note_vocab: Vocabulary, dur_vocab: Vocabulary,

@@ -120,13 +120,12 @@ class TrainResult:
 
 
 def _gather(dataset: Dataset, windows: list[tuple[int, int]]):
-    """Stack windows into (B, L) id arrays plus (B,) targets."""
+    """Stack windows into (B, L) id arrays plus (B,) targets: a window is
+    its L tokens and the token after them."""
     L = dataset.window_len
-    note_w = np.stack([dataset.note_ids[s][o:o + L] for s, o in windows])
-    dur_w = np.stack([dataset.dur_ids[s][o:o + L] for s, o in windows])
-    note_t = np.array([dataset.note_ids[s][o + L] for s, o in windows], dtype=np.int64)
-    dur_t = np.array([dataset.dur_ids[s][o + L] for s, o in windows], dtype=np.int64)
-    return note_w, dur_w, note_t, dur_t
+    notes = np.stack([dataset.note_ids[s][o:o + L + 1] for s, o in windows])
+    durs = np.stack([dataset.dur_ids[s][o:o + L + 1] for s, o in windows])
+    return notes[:, :L], durs[:, :L], notes[:, L], durs[:, L]
 
 
 def _add_batch_stats(totals: list, note_probs, dur_probs, note_t, dur_t) -> float:
@@ -141,22 +140,6 @@ def _add_batch_stats(totals: list, note_probs, dur_probs, note_t, dur_t) -> floa
     return ce_note + ce_dur
 
 
-def split_holdout(windows: list[tuple[int, int]], fraction: float) -> tuple[list, list]:
-    """Reserve the trailing ``fraction`` of each song's windows for eval."""
-    if fraction <= 0.0:
-        return windows, []
-    by_song: dict[int, list] = {}
-    for w in windows:
-        by_song.setdefault(w[0], []).append(w)
-    train_w, held_w = [], []
-    for song in sorted(by_song):
-        ws = sorted(by_song[song], key=lambda w: w[1])
-        n_held = int(np.ceil(len(ws) * fraction))
-        train_w.extend(ws[:len(ws) - n_held])
-        held_w.extend(ws[len(ws) - n_held:])
-    return train_w, held_w
-
-
 def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
           dur_vocab: Vocabulary, out_dir=None, on_epoch=None) -> TrainResult:
     """Run the full training loop.
@@ -164,21 +147,17 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
     Batch gradients are means over the batch; the global gradient norm is
     clipped to ``clip_norm`` before each optimizer step. A non-finite batch
     loss or gradient norm raises ``TrainingDiverged`` before that step, so
-    no NaN reaches the parameters or a checkpoint. A batch size larger
-    than the window count is clamped down to it. Checkpoints are written
+    no NaN reaches the parameters or a checkpoint. Checkpoints are written
     every ``checkpoint_every`` epochs plus a final ``checkpoint.bin`` when
     ``out_dir`` is given; it is made once the model is allocated, so a model
     too large for memory leaves none. ``on_epoch`` is called with each
     MetricsRow.
     """
     config.validate()
-    windows, _ = make_windows(dataset)
+    windows, held = make_windows(dataset, config.holdout)
     if not windows:
-        raise EmptyDataset("no training windows (songs shorter than window + 1?)")
-    windows, held = split_holdout(windows, config.holdout)
-    if not windows:
-        raise EmptyDataset("holdout fraction left no training windows")
-    batch_size = min(config.batch_size, len(windows))
+        raise EmptyDataset("holdout fraction left no training windows" if held
+                           else "no training windows (songs shorter than window + 1?)")
 
     init_rng, shuffle_rng, dropout_rng = (Rng(derive_seed(config.seed, label))
                                           for label in TRAIN_SUB_SEEDS)
@@ -201,8 +180,8 @@ def train(dataset: Dataset, config: TrainConfig, note_vocab: Vocabulary,
         order = list(windows)
         shuffle_rng.shuffle(order)
         totals = [0.0, 0.0, 0, 0]
-        for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
             note_w, dur_w, note_t, dur_t = _gather(dataset, batch)
             note_probs, dur_probs, cache = model_forward(
                 note_w, dur_w, params, train=True, rng=dropout_rng, dropout=config.model.dropout)

@@ -1,10 +1,11 @@
 """Opt-in pytest plugin: list the ``raise`` statements of the ``midilstm``
-package that no test reaches, and the package's functions, methods and
-classes that no code outside the tests uses.
+package that no test reaches, the package's functions, methods and classes
+that no code outside the tests uses, and the return values that no caller
+outside the tests reads.
 
     PYTHONPATH=src:tests python -m pytest -p census \\
         --deselect tests/test_acceptance.py::test_criterion_5_midi_round_trip
-    PYTHONPATH=src python tests/census.py   # the second list alone, no tests run
+    PYTHONPATH=src python tests/census.py   # the static lists alone, no tests run
 
 It traces the lines run in the package's own files, on the main thread
 (``sys.settrace``) and on every thread started after it loads
@@ -21,9 +22,13 @@ class defined in the package whose name no module of the package or of
 do not count, nor do the tests. Names are matched by spelling alone, so a
 method that shares its name with one in use elsewhere is not listed.
 
+The third list is static too (``discarded_returns``): each function of the
+package that those modules only call, each call's result unpacked with the
+same position bound to ``_``. Names are matched by spelling, as above.
+
 The file name keeps pytest from collecting it as a test module. Tier-1
-imports it for the second list alone (``tests/test_census.py``, which
-requires it empty); only ``-p census`` installs the tracing.
+imports it for the static lists alone (``tests/test_census.py``, which
+requires both empty); only ``-p census`` installs the tracing.
 """
 
 from __future__ import annotations
@@ -96,6 +101,33 @@ def unused_names() -> list[str]:
     return [f"{module}.{name}" for module, name in defined if name not in used]
 
 
+def discarded_returns() -> list[str]:
+    """``module.name[i]`` of each package function that package and bench
+    modules use only in calls whose result is unpacked with position i bound
+    to ``_``, so no caller reads that return value."""
+    defined, uses = [], defaultdict(list)  # name -> per use, the positions bound to _
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        discards, callees = {}, set()  # by id: each assigned call's _ positions; called names
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):  # parents first
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                discards[id(node.value)] = set.intersection(*(
+                    {i for i, e in enumerate(t.elts) if isinstance(e, ast.Name) and e.id == "_"}
+                    if isinstance(t, ast.Tuple)
+                    and not any(isinstance(e, ast.Starred) for e in t.elts) else set()
+                    for t in node.targets))
+            elif isinstance(node, ast.Call):
+                callees.add(id(node.func))
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                uses[name].append(discards.get(id(node), set()))
+            elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees:
+                uses[getattr(node, "id", getattr(node, "attr", None))].append(set())
+            elif path.parent == PACKAGE and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((path.stem, node.name))
+    return [f"{module}.{name}[{i}]" for module, name in defined if uses[name]
+            for i in sorted(set.intersection(*uses[name]))]
+
+
 def pytest_configure(config):
     threading.settrace(_trace)
     sys.settrace(_trace)
@@ -112,7 +144,11 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section(f"census: {len(unused)} definition(s) used only by tests, if at all")
     for name in unused:
         terminalreporter.write_line(name)
+    discarded = discarded_returns()
+    terminalreporter.section(f"census: {len(discarded)} return value(s) no caller reads")
+    for name in discarded:
+        terminalreporter.write_line(name)
 
 
 if __name__ == "__main__":
-    print("\n".join(unused_names()))
+    print("\n".join(unused_names() + discarded_returns()))

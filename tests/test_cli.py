@@ -997,6 +997,28 @@ def test_a_rerun_cut_at_its_kth_output_leaves_no_manifest(pipeline, tmp_path, mo
     assert not manifest.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("ingest", []),
+    ("train", [*TRAIN_FLAGS, "--checkpoint-every", "1"]),
+    ("generate", ["--count", "2", "--length", "10", "--tokens"]),
+    ("variants", [*TRAIN_FLAGS, "--checkpoint-every", "1", "--count", "1", "--length", "10",
+                  "--variant", "a:", "--variant", "b:lr=0.01"]),
+])
+def test_manifest_lists_every_file_the_run_wrote(pipeline, midi_dir, tmp_path, command, flags):
+    """A run into an empty --out: its manifest's outputs name exactly the
+    files under --out but the manifest itself."""
+    source = {"ingest": ["--midi-dir", str(midi_dir[0])],
+              "generate": ["--checkpoint", str(pipeline / "checkpoint.bin"),
+                           "--corpus", str(pipeline / "corpus.txt")]}.get(
+        command, ["--corpus", str(pipeline / "corpus.txt")])
+    out = tmp_path / "out"
+    assert main([command, *source, *flags, "--out", str(out)]) == 0
+    manifest = f"{command}_manifest.json"
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert sorted(json.loads((out / manifest).read_text())["outputs"]) == \
+        [name for name in written if name != manifest]
+
+
 @pytest.mark.parametrize("batch_size", [
     "48",  # 3 batches of 480 product rows (window x batch) and one of 360
     "52",  # weight-gradient products over 520 rows: above 384, not a multiple of 32
@@ -1033,11 +1055,12 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, midi_dir, batc
     assert trees[0] == trees[1]
 
 
-def test_generation_on_row_lanes_does_not_depend_on_the_blas_thread_count(tmp_path):
+def test_generation_does_not_depend_on_the_blas_thread_count(tmp_path):
     """Songs of a 2x256 model, generated in a child process at 1 and at 2
-    BLAS threads: at both, on a machine of 2 or more cores, ``lanes()``
-    splits each wavefront step of 8 or more rows. Every output byte and all
-    stdout must match."""
+    BLAS threads: at both, on a machine of 2 or more cores, each layer's
+    recurrent product is queued one step ahead on the lanes' pool
+    (``numerics.product_ahead``). Every output byte and all stdout must
+    match."""
     src = Path(cli.__file__).parent.parent
     save_corpus(tmp_path / "corpus.txt", CorpusFile(12, 16, 48, [looped_song(37, n_tokens=40)]))
     assert main(["train", "--corpus", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "run"),

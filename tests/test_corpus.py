@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from midilstm.corpus import (
@@ -88,15 +90,12 @@ class TestWindows:
         return encode_songs(songs, nv, dv, window_len=L)
 
     def test_counts(self):
-        windows, skipped = make_windows(self.make([55], 50))
+        windows, _ = make_windows(self.make([55], 50))
         assert len(windows) == 5
         assert [off for _, off in windows] == [0, 1, 2, 3, 4]
-        assert skipped == 0
 
     def test_song_of_exactly_window_length(self):
-        windows, skipped = make_windows(self.make([50], 50))
-        assert windows == []
-        assert skipped == 1
+        assert make_windows(self.make([50], 50)) == ([], [])
 
     def test_stride_one_offsets(self):
         ds = self.make([52], 50)
@@ -107,9 +106,23 @@ class TestWindows:
 
     def test_total_across_songs(self):
         ds = self.make([55, 10, 80], 50)
-        windows, skipped = make_windows(ds)
+        windows, _ = make_windows(ds)
         assert len(windows) == 5 + 0 + 30
-        assert skipped == 1
+
+    @pytest.mark.parametrize("holdout", [0.0, 0.1, 0.25, 0.5, 0.99])
+    def test_holdout_is_each_songs_last_windows(self, holdout):
+        lengths = [52, 50, 80, 10, 51, 55]  # 2, 0, 30, none (shorter than L), 1 and 5 windows
+        ds = self.make(lengths, 50)
+        every = [(song, off) for song, n in enumerate(lengths) for off in range(max(0, n - 50))]
+        assert make_windows(ds) == (every, [])
+        windows, held = make_windows(ds, holdout)
+        held_set = set(held)
+        assert windows == [w for w in every if w not in held_set]
+        assert held == [w for w in every if w in held_set]
+        for song, length in enumerate(lengths):
+            n = max(0, length - 50)
+            assert [off for s, off in held if s == song] == \
+                list(range(n - math.ceil(n * holdout), n))
 
     @pytest.mark.parametrize("notes, durs", [(["60"], [1, 2]), (["60", "62"], [1])])
     def test_streams_of_different_lengths_rejected(self, notes, durs):

@@ -19,7 +19,6 @@ from midilstm.trainer import (
     evaluate,
     load_checkpoint,
     save_checkpoint,
-    split_holdout,
     train,
     write_metrics,
 )
@@ -154,7 +153,7 @@ class TestHoldout:
     def test_split_reserves_trailing_windows(self):
         dataset, config, nv, dv = tiny_setup()
         windows, _ = make_windows(dataset)
-        train_w, held_w = split_holdout(windows, 0.25)
+        train_w, held_w = make_windows(dataset, 0.25)
         assert len(train_w) + len(held_w) == len(windows)
         assert held_w
         assert max(off for _, off in train_w) < min(off for _, off in held_w)
